@@ -30,4 +30,5 @@ class DataError(MimoclrError):
 
 
 class TrainingDivergenceError(MimoclrError):
-    """A non-finite gradient or parameter was encountered during training."""
+    """A non-finite gradient, parameter or validation loss was encountered
+    during training."""

@@ -20,11 +20,12 @@ import math
 import numpy as np
 
 from .datapipe import Dataset, load_batch
-from .errors import ConfigError, ContractError, DataError, DegenerateDataError
+from .errors import (ConfigError, ContractError, DataError, DegenerateDataError,
+                     TrainingDivergenceError)
 from .nncore.layers import Encoder, EncoderConfig, Head, HeadConfig, prefixed
 from .nncore.losses import cross_entropy_loss, mse_loss
 from .nncore.optim import AdamW
-from .nncore.tensor import Tensor
+from .nncore.tensor import Tensor, no_grad
 from .pretrain import encode_batch, load_pretrain_state
 from .rngstream import stream
 
@@ -191,13 +192,15 @@ def _loss(run: FinetuneRun, out: Tensor, labels):
 
 
 def _predict(run: FinetuneRun, x: np.ndarray, chunk: int = 256) -> np.ndarray:
-    if run.freeze_encoder:
-        z = encode_batch(run.encoder, x, chunk)
-        return run.head.forward(Tensor(z)).data
-    outs = []
-    for lo in range(0, x.shape[0], chunk):
-        outs.append(_forward(run, x[lo:lo + chunk]).data)
-    return np.concatenate(outs, axis=0)
+    """Forward-only head outputs; records no tape."""
+    with no_grad():
+        if run.freeze_encoder:
+            z = encode_batch(run.encoder, x, chunk)
+            return run.head.forward(Tensor(z)).data
+        outs = []
+        for lo in range(0, x.shape[0], chunk):
+            outs.append(_forward(run, x[lo:lo + chunk]).data)
+        return np.concatenate(outs, axis=0)
 
 
 def _val_loss(run: FinetuneRun, x_val, y_val) -> float:
@@ -214,7 +217,8 @@ def finetune(run: FinetuneRun, dataset: Dataset, epochs=None) -> FinetuneRun:
 
     Positioning targets are standardized per coordinate with statistics of
     the labeled training subset; losses are in standardized units, reported
-    errors in meters.
+    errors in meters.  A non-finite validation loss raises
+    TrainingDivergenceError.
     """
     cfg = run.config
     n_epochs = cfg.epochs if epochs is None else int(epochs)
@@ -254,6 +258,9 @@ def finetune(run: FinetuneRun, dataset: Dataset, epochs=None) -> FinetuneRun:
             opt.step()
             loss_sum += float(loss.data) * idx.size
         val_loss = _val_loss(run, x_val, y_val_t)
+        if not math.isfinite(val_loss):
+            raise TrainingDivergenceError(
+                f"non-finite validation loss {val_loss} at epoch {epoch + 1}")
         run.history.append({"epoch": epoch + 1, "train_loss": loss_sum / len(perm),
                             "val_loss": val_loss})
         if val_loss < run.best_val_loss:

@@ -96,7 +96,12 @@ class LRPlateau:
         self.stale = 0
 
     def observe(self, val_loss: float, lr: float) -> float:
-        """Record one epoch's validation loss; returns the (possibly cut) lr."""
+        """Record one epoch's validation loss; returns the (possibly cut) lr.
+
+        A non-finite loss is divergence, not a plateau: it raises
+        TrainingDivergenceError instead of counting toward early stop."""
+        if not np.isfinite(val_loss):
+            raise TrainingDivergenceError(f"non-finite validation loss {val_loss}")
         if self.best is not None and val_loss < self.best:
             self.best = val_loss
             self.plateau = 0

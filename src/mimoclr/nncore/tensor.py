@@ -8,6 +8,8 @@ bit-reproducible run to run.
 Works in float32 (training default) or float64 (gradient checks).
 """
 
+import contextlib
+
 import numpy as np
 
 from ..errors import ContractError
@@ -111,9 +113,27 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording them: outputs carry no parents and no
+    backward closure, so buffers an op saves for backward are freed as soon
+    as it returns.  Forward values are unchanged.  The switch is one flag
+    per process, not per thread."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def _make(data, parents, backward):
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -322,11 +342,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor):
 
 
 def avg_pool2d(x: Tensor):
-    """2x2 mean pooling; spatial dims must be even."""
-    n, c, h, w = x.shape
+    """2x2 mean pooling of a float tensor; spatial dims must be even."""
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ContractError(f"avg_pool2d needs even spatial dims, got {h}x{w}")
-    out = x.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    # Pairwise order (a+b) + (c+d), then * 0.25: bit-equal to numpy's mean
+    # over the 2x2 window for inputs at least 4 wide, without its reduction
+    # machinery.
+    d = x.data
+    out = d[:, :, 0::2, 0::2] + d[:, :, 0::2, 1::2]
+    out += d[:, :, 1::2, 0::2] + d[:, :, 1::2, 1::2]
+    out *= 0.25
 
     def backward(g):
         if x.requires_grad:

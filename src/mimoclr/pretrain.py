@@ -135,10 +135,11 @@ def init_pretrain_state(config: PretrainConfig, in_height: int, in_width: int) -
 
 
 def encode_batch(encoder: Encoder, x: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Forward without training, chunked to bound graph memory."""
+    """Forward without recording a tape, chunked to bound im2col buffers."""
     outs = []
-    for lo in range(0, x.shape[0], chunk):
-        outs.append(encoder.forward(Tensor(x[lo:lo + chunk])).data)
+    with T.no_grad():
+        for lo in range(0, x.shape[0], chunk):
+            outs.append(encoder.forward(Tensor(x[lo:lo + chunk])).data)
     return np.concatenate(outs, axis=0)
 
 

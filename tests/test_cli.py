@@ -5,7 +5,8 @@ import json
 import pytest
 import yaml
 
-from mimoclr.cli import EXIT_CONFIG, EXIT_DATA, main
+from mimoclr import finetune as ft, pretrain as pt
+from mimoclr.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, main
 
 CONFIG = {
     "dataset": {
@@ -211,3 +212,20 @@ def test_report_unreadable_artifact_exit_code(tmp_path, capsys):
     rc = main(["report", str(tmp_path / "missing.json")])
     err = capsys.readouterr().err
     assert rc == EXIT_DATA and "artifact" in err
+
+
+def test_pretrain_nan_validation_loss_exits_diverged(work, monkeypatch, capsys):
+    monkeypatch.setattr(pt, "evaluate_pairs", lambda *a, **k: (float("nan"), 0.5))
+    rc = main(["pretrain", work["data"], "--config", work["config"],
+               "--out", str(work["root"] / "pre_nan")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DIVERGED and "validation loss" in err
+
+
+def test_finetune_nan_validation_loss_exits_diverged(work, monkeypatch, capsys):
+    monkeypatch.setattr(ft, "_val_loss", lambda *a, **k: float("nan"))
+    rc = main(["finetune", work["data"], "--config", work["config"],
+               "--out", str(work["root"] / "ft_nan"), "--task", "los",
+               "--init", "scratch"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DIVERGED and "validation loss" in err

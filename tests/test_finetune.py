@@ -8,7 +8,7 @@ import pytest
 from mimoclr import finetune as F
 from mimoclr import pretrain as P
 from mimoclr.errors import ConfigError, ContractError, DataError
-from mimoclr.nncore.layers import Encoder, EncoderConfig
+from mimoclr.nncore.layers import Encoder, EncoderConfig, prefixed
 
 FT = F.FinetuneConfig(batch_size=16, lr=2e-3, epochs=4, head_hidden=16,
                       widths=(4, 8, 16), embed_dim=32)
@@ -219,3 +219,18 @@ def test_summary_structure(mini_dataset):
     assert s["metric_name"] == "accuracy" and s["init"] == "scratch"
     assert s["seed"] == 3 and s["label_budget"] == 40
     assert s["epochs_run"] == 1 and 0.0 <= s["val_metric"] <= 1.0
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_predict_matches_taped_forward_and_leaves_grads(mini_dataset, mini_checkpoint, frozen):
+    run = F.init_finetune_run(mini_dataset, "beam", "pretrained", 5, FT,
+                              checkpoint_path=mini_checkpoint, freeze_encoder=frozen)
+    x, _ = F._task_arrays(mini_dataset, mini_dataset.val_indices()[:40], run.task)
+    every = {**prefixed(run.encoder.params, "encoder."), **prefixed(run.head.params, "head.")}
+    marker = {k: np.full_like(p.data, 7.0) for k, p in every.items()}
+    for k, p in every.items():
+        p.grad = marker[k]
+    taped = F._forward(run, x).data
+    assert np.array_equal(F._predict(run, x), taped)
+    for k, p in every.items():
+        assert p.grad is marker[k] and np.all(p.grad == 7.0), k

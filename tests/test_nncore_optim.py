@@ -177,3 +177,13 @@ def test_gradient_check_report_is_readable():
     report = gradient_check(lambda: T.tsum(T.mul(w, w)), {"w": w})
     text = str(report)
     assert "w" in text and "max rel err" in text
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_plateau_nonfinite_loss_is_divergence(bad):
+    sched = LRPlateau(factor=0.8, interval=10)
+    sched.observe(1.0, 1.0)
+    before = sched.state()
+    with pytest.raises(TrainingDivergenceError):
+        sched.observe(bad, 1.0)
+    assert sched.state() == before    # not counted toward early stop

@@ -7,6 +7,7 @@ import pytest
 
 from mimoclr.errors import ContractError
 from mimoclr.nncore import tensor as T
+from mimoclr.nncore.layers import Encoder, EncoderConfig
 from mimoclr.nncore.tensor import Tensor
 
 
@@ -210,3 +211,65 @@ def test_float32_stays_float32():
     assert out.dtype == np.float32
     out.backward()
     assert a.grad.dtype == np.float32
+
+
+def _pool_oracle(x):
+    """The reshape-and-mean form of 2x2 average pooling."""
+    n, c, h, w = x.shape
+    return x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [
+    (64, 8, 32, 64),      # desk stage 1
+    (64, 16, 16, 32),     # desk stage 2
+    (64, 96, 8, 16),      # desk stage 3
+    (2, 128, 64, 64),     # paper stage 3
+])
+def test_avg_pool_forward_bit_equal_to_mean(dtype, shape):
+    x = np.random.default_rng(11).normal(size=shape).astype(dtype)
+    got = T.avg_pool2d(Tensor(x)).data
+    want = _pool_oracle(x)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_avg_pool_forward_width_two(dtype):
+    # numpy's mean sums a width-2 input in another order, so only rounding agrees
+    x = np.random.default_rng(12).normal(size=(3, 4, 6, 2)).astype(dtype)
+    got = T.avg_pool2d(Tensor(x)).data
+    assert got.dtype == dtype
+    assert np.allclose(got, _pool_oracle(x), rtol=1e-6, atol=0)
+
+
+def test_no_grad_forward_bit_equal_and_untaped():
+    enc = Encoder.init(EncoderConfig(in_height=8, in_width=16, widths=(4, 6), embed_dim=5),
+                       np.random.default_rng(13))
+    x = np.random.default_rng(14).normal(size=(3, 2, 8, 16)).astype(np.float32)
+    taped = enc.forward(Tensor(x))
+    assert taped.requires_grad and taped._backward is not None
+    with T.no_grad():
+        out = enc.forward(Tensor(x))
+    assert np.array_equal(out.data, taped.data)
+    assert out.requires_grad is False
+    assert out._parents == ()
+    assert out._backward is None
+    assert all(p.grad is None for p in enc.params.values())
+
+
+def _records():
+    return T.mul(Tensor(np.ones(2), requires_grad=True), 2.0).requires_grad
+
+
+def test_no_grad_restores_flag_after_nesting_and_errors():
+    assert _records()
+    with T.no_grad():
+        with T.no_grad():
+            assert not _records()
+        assert not _records()
+    assert _records()
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            raise RuntimeError("inside")
+    assert _records()

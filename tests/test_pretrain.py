@@ -9,6 +9,7 @@ import pytest
 
 from mimoclr import pretrain as P
 from mimoclr.errors import ConfigError, ContractError
+from mimoclr.nncore.tensor import Tensor
 from mimoclr.rngstream import stream
 
 SMALL = P.PretrainConfig(seed=0, batch_size=32, lr=2e-3, max_epochs=6,
@@ -231,3 +232,16 @@ def test_shuffle_stream_is_epoch_keyed():
     c = stream(0, "pretrain-shuffle", 4).permutation(10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_encode_batch_matches_taped_forward_and_leaves_grads(mini_dataset):
+    state = make_state()
+    x = train_pairs(mini_dataset, 40).x_csi
+    enc = state.csi_encoder
+    marker = {k: np.full_like(p.data, 7.0) for k, p in enc.params.items()}
+    for k, p in enc.params.items():
+        p.grad = marker[k]
+    taped = enc.forward(Tensor(x)).data
+    assert np.array_equal(P.encode_batch(enc, x), taped)
+    for k, p in enc.params.items():
+        assert p.grad is marker[k] and np.all(p.grad == 7.0), k
