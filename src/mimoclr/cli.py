@@ -99,7 +99,7 @@ def _finetune_one(payload: dict) -> dict:
                                checkpoint_path=payload["checkpoint"],
                                freeze_encoder=payload["init"] == "probe")
     ft.finetune(run, dataset, payload["epochs"])
-    summary = ft.finetune_summary(run, dataset)
+    summary = ft.finetune_summary(run)
     summary["init"] = payload["init"]
 
     stem = f"{run.task.kind}_{payload['init']}_seed{payload['seed']}"

@@ -113,6 +113,7 @@ class FinetuneRun:
     target_std: np.ndarray = None
     best_epoch: int = -1
     best_val_loss: float = math.inf
+    best_val_metric: float = None   # task metric of the selected epoch
     history: list = dataclasses.field(default_factory=list)
 
     def parameters(self) -> dict:
@@ -203,17 +204,29 @@ def _predict(run: FinetuneRun, x: np.ndarray, chunk: int = 256) -> np.ndarray:
         return np.concatenate(outs, axis=0)
 
 
-def _val_loss(run: FinetuneRun, x_val, y_val) -> float:
-    pred = _predict(run, x_val)
+def _val_loss(run: FinetuneRun, x_val, y_val, pred=None) -> float:
+    if pred is None:
+        pred = _predict(run, x_val)
     if run.task.is_classification:
         return float(cross_entropy_loss(Tensor(pred), y_val).data)
     return float(np.mean(np.sum((pred - y_val) ** 2, axis=1)))
 
 
+def _metric(run: FinetuneRun, pred: np.ndarray, labels: np.ndarray) -> float:
+    """Task metric of head outputs against raw labels: top-1 accuracy (argmax
+    ties resolve to the lowest class index) or mean Euclidean error in
+    meters of the de-standardized predictions."""
+    if run.task.is_classification:
+        return float(np.mean(np.argmax(pred, axis=1) == labels))
+    pred = pred * run.target_std + run.target_mean
+    return float(np.mean(np.linalg.norm(pred - labels, axis=1)))
+
+
 def finetune(run: FinetuneRun, dataset: Dataset, epochs=None) -> FinetuneRun:
     """Train on the seeded labeled subset, validate each epoch on the full
     validation split, and finish holding the best-validation parameters
-    (never the final epoch's).
+    (never the final epoch's) and, in `best_val_metric`, their task metric
+    on that split.
 
     Positioning targets are standardized per coordinate with statistics of
     the labeled training subset; losses are in standardized units, reported
@@ -257,7 +270,8 @@ def finetune(run: FinetuneRun, dataset: Dataset, epochs=None) -> FinetuneRun:
             loss.backward()
             opt.step()
             loss_sum += float(loss.data) * idx.size
-        val_loss = _val_loss(run, x_val, y_val_t)
+        pred = _predict(run, x_val)
+        val_loss = _val_loss(run, x_val, y_val_t, pred=pred)
         if not math.isfinite(val_loss):
             raise TrainingDivergenceError(
                 f"non-finite validation loss {val_loss} at epoch {epoch + 1}")
@@ -266,6 +280,7 @@ def finetune(run: FinetuneRun, dataset: Dataset, epochs=None) -> FinetuneRun:
         if val_loss < run.best_val_loss:
             run.best_val_loss = val_loss
             run.best_epoch = epoch + 1
+            run.best_val_metric = _metric(run, pred, y_val)
             best_params = {k: p.data.copy() for k, p in run.parameters().items()}
     if best_params is not None:
         for k, p in run.parameters().items():
@@ -280,8 +295,7 @@ def evaluate_positioning(run: FinetuneRun, dataset: Dataset, indices) -> float:
     if run.target_mean is None:
         raise ContractError("run has no target statistics; train it first")
     x, y = _task_arrays(dataset, indices, run.task)
-    pred = _predict(run, x) * run.target_std + run.target_mean
-    return float(np.mean(np.linalg.norm(pred - y, axis=1)))
+    return _metric(run, _predict(run, x), y)
 
 
 def evaluate_classification(run: FinetuneRun, dataset: Dataset, indices) -> float:
@@ -289,8 +303,7 @@ def evaluate_classification(run: FinetuneRun, dataset: Dataset, indices) -> floa
     if not run.task.is_classification:
         raise ContractError(f"run is a {run.task.kind} run, not classification")
     x, y = _task_arrays(dataset, indices, run.task)
-    pred = np.argmax(_predict(run, x), axis=1)
-    return float(np.mean(pred == y))
+    return _metric(run, _predict(run, x), y)
 
 
 def evaluate(run: FinetuneRun, dataset: Dataset, indices) -> float:
@@ -329,9 +342,12 @@ def improvement_report(pretrained_metric: float, scratch_metric: float, task_kin
             "absolute_delta": absolute, "relative_pct": relative}
 
 
-def finetune_summary(run: FinetuneRun, dataset: Dataset) -> dict:
-    """Structured record consumed by the report command."""
-    metric = evaluate(run, dataset, dataset.val_indices())
+def finetune_summary(run: FinetuneRun) -> dict:
+    """Structured record consumed by the report command.  `val_metric` is
+    the selected epoch's metric on the validation split, which `evaluate`
+    on that split reproduces from the held parameters."""
+    if run.best_epoch < 1:
+        raise ContractError("run has no selected epoch; fine-tune it first")
     return {
         "kind": "finetune",
         "task": run.task.kind,
@@ -342,7 +358,7 @@ def finetune_summary(run: FinetuneRun, dataset: Dataset) -> dict:
         "frozen_encoder": run.freeze_encoder,
         "best_epoch": run.best_epoch,
         "best_val_loss": run.best_val_loss,
-        "val_metric": metric,
+        "val_metric": run.best_val_metric,
         "epochs_run": len(run.history),
         "config": dataclasses.asdict(run.config),
     }

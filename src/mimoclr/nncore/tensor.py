@@ -321,7 +321,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor):
             cols[:, :, i, j] = xp[:, :, i:i + h, j:j + wd]
     cols2 = cols.reshape(n, c * kh * kw, h * wd)
     w2 = w.data.reshape(f, c * kh * kw)
-    out = np.matmul(w2, cols2).reshape(n, f, h, wd) + b.data[None, :, None, None]
+    out = np.matmul(w2, cols2).reshape(n, f, h, wd)
+    out += b.data[None, :, None, None]
 
     def backward(g):
         gl = g.reshape(n, f, h * wd)
@@ -356,8 +357,13 @@ def avg_pool2d(x: Tensor):
 
     def backward(g):
         if x.requires_grad:
-            up = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3)
-            x._accumulate(up * 0.25)
+            q = g * 0.25
+            up = np.empty(x.shape, dtype=q.dtype)
+            up[:, :, 0::2, 0::2] = q
+            up[:, :, 0::2, 1::2] = q
+            up[:, :, 1::2, 0::2] = q
+            up[:, :, 1::2, 1::2] = q
+            x._accumulate(up)
 
     return _make(out, (x,), backward)
 

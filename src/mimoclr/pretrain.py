@@ -329,7 +329,9 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
     Writes `pretrain.ckpt` (every epoch, atomically) and
     `pretrain_metrics.jsonl` (one record per epoch) under out_dir.  With
     resume=True training continues from the checkpoint and reproduces the
-    exact trace an uninterrupted run would have produced.
+    exact trace an uninterrupted run would have produced.  A resume must
+    pass the config the checkpoint was trained with (ConfigError otherwise);
+    only the max_epochs argument may differ.
     """
     config = config.validated()
     os.makedirs(out_dir, exist_ok=True)
@@ -337,13 +339,15 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
     metrics_path = os.path.join(out_dir, "pretrain_metrics.jsonl")
     cap = config.max_epochs if max_epochs is None else int(max_epochs)
 
-    fit_idx, hold_idx = _inner_split(dataset, config)
-    pairs_fit = load_pairs(dataset, fit_idx)
-    pairs_hold = load_pairs(dataset, hold_idx)
-
     kept_lines = []
     if resume:
         state, _ = load_pretrain_state(ckpt_path)
+        changed = [f.name for f in dataclasses.fields(config)
+                   if getattr(config, f.name) != getattr(state.config, f.name)]
+        if changed:
+            raise ConfigError(
+                f"cannot resume {ckpt_path}: config differs from the checkpoint's "
+                f"in {changed}")
         if os.path.exists(metrics_path):
             with open(metrics_path, "r", encoding="utf-8") as f:
                 for line in f:
@@ -352,6 +356,10 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
     else:
         p = dataset.n_rx * dataset.n_tx
         state = init_pretrain_state(config, p, dataset.n_subcarriers)
+
+    fit_idx, hold_idx = _inner_split(dataset, config)
+    pairs_fit = load_pairs(dataset, fit_idx)
+    pairs_hold = load_pairs(dataset, hold_idx)
 
     rows = []
     with open(metrics_path, "w", encoding="utf-8") as mf:

@@ -1,6 +1,7 @@
 """End-to-end command flows: generate -> pretrain -> finetune -> report."""
 
 import json
+import shutil
 
 import pytest
 import yaml
@@ -117,6 +118,17 @@ def test_pretrain_resume_matches_straight_run(work, capsys):
     assert resumed == straight
     assert open(work["pre"] + "/pretrain.ckpt", "rb").read() == \
         open(out_dir / "pretrain.ckpt", "rb").read()
+
+
+def test_pretrain_resume_with_changed_seed_exits_config(work, tmp_path, capsys):
+    out_dir = tmp_path / "pre_copy"
+    shutil.copytree(work["pre"], out_dir)
+    before = open(out_dir / "pretrain_metrics.jsonl").read()
+    rc = main(["pretrain", work["data"], "--config", work["config"],
+               "--out", str(out_dir), "--resume", "--seed", "5"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG and "seed" in err
+    assert open(out_dir / "pretrain_metrics.jsonl").read() == before
 
 
 def test_finetune_writes_paired_artifacts(work, capsys):

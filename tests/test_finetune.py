@@ -214,7 +214,7 @@ def test_summary_structure(mini_dataset):
     cfg = dataclasses.replace(FT, epochs=1, label_budget=40)
     run = F.finetune(F.init_finetune_run(mini_dataset, "beam", "scratch", 3, cfg),
                      mini_dataset)
-    s = F.finetune_summary(run, mini_dataset)
+    s = F.finetune_summary(run)
     assert s["kind"] == "finetune" and s["task"] == "beam_management"
     assert s["metric_name"] == "accuracy" and s["init"] == "scratch"
     assert s["seed"] == 3 and s["label_budget"] == 40
@@ -234,3 +234,31 @@ def test_predict_matches_taped_forward_and_leaves_grads(mini_dataset, mini_check
     assert np.array_equal(F._predict(run, x), taped)
     for k, p in every.items():
         assert p.grad is marker[k] and np.all(p.grad == 7.0), k
+
+
+@pytest.mark.parametrize("task", ["pos", "beam", "los"])
+@pytest.mark.parametrize("init", ["scratch", "pretrained", "probe"])
+def test_summary_metric_equals_fresh_evaluate(mini_dataset, mini_checkpoint, task, init):
+    cfg = dataclasses.replace(FT, epochs=3)
+    mode = "scratch" if init == "scratch" else "pretrained"
+    run = F.init_finetune_run(mini_dataset, task, mode, 4, cfg,
+                              checkpoint_path=mini_checkpoint, freeze_encoder=init == "probe")
+    F.finetune(run, mini_dataset)
+    want = F.evaluate(run, mini_dataset, mini_dataset.val_indices())
+    assert F.finetune_summary(run)["val_metric"] == want
+
+
+def test_summary_metric_is_the_selected_epochs(mini_dataset):
+    cfg = dataclasses.replace(FT, epochs=6, lr=1e-2)
+    run = F.finetune(F.init_finetune_run(mini_dataset, "pos", "scratch", 2, cfg),
+                     mini_dataset)
+    assert run.best_epoch < len(run.history)  # selection kept an earlier epoch
+    want = F.evaluate(run, mini_dataset, mini_dataset.val_indices())
+    assert F.finetune_summary(run)["val_metric"] == want
+
+
+def test_summary_needs_a_selected_epoch(mini_dataset):
+    run = F.finetune(F.init_finetune_run(mini_dataset, "beam", "scratch", 0, FT),
+                     mini_dataset, epochs=0)
+    with pytest.raises(ContractError, match="epoch"):
+        F.finetune_summary(run)

@@ -273,3 +273,38 @@ def test_no_grad_restores_flag_after_nesting_and_errors():
         with T.no_grad():
             raise RuntimeError("inside")
     assert _records()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [
+    (64, 8, 32, 64),      # desk stage 1
+    (64, 16, 16, 32),     # desk stage 2
+    (64, 96, 8, 16),      # desk stage 3
+])
+def test_avg_pool_backward_bit_equal_to_repeat(dtype, shape):
+    x = Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+    out = T.avg_pool2d(x)
+    g = np.random.default_rng(15).normal(size=out.shape).astype(dtype)
+    out._backward(g)
+    want = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25
+    assert x.grad.dtype == want.dtype
+    assert np.array_equal(x.grad, want)
+
+
+@pytest.mark.parametrize("x_shape, w_shape", [
+    ((64, 2, 32, 64), (8, 2, 3, 3)),      # desk stage 1
+    ((64, 8, 16, 32), (16, 8, 3, 3)),     # desk stage 2
+    ((64, 16, 8, 16), (96, 16, 3, 3)),    # desk stage 3
+])
+def test_conv2d_forward_bias_bit_equal(x_shape, w_shape):
+    rng = np.random.default_rng(16)
+    x, w, b = (rng.normal(size=s).astype(np.float32) for s in (x_shape, w_shape, w_shape[:1]))
+    got = T.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+    n, c, h, wd = x_shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = np.stack([xp[:, :, i:i + h, j:j + wd] for i in range(3) for j in range(3)], axis=2)
+    cols = cols.reshape(n, c * 9, h * wd)
+    want = np.matmul(w.reshape(w_shape[0], -1), cols).reshape(n, -1, h, wd) \
+        + b[None, :, None, None]
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
