@@ -275,80 +275,117 @@ def stratified_cap(scenario_sizes, cap: int, seed: int):
 
 _TASK_LABELS = ("positioning", "beam", "los")
 
+# Records per loader block: as many as keep one block's complex128 CSI
+# (16 * n_pairs * n_subcarriers bytes a record) within this many bytes,
+# and at least one.  A byte budget, not a record count, so paper-geometry
+# records (1 MiB of CSI each) do not build blocks dozens of MiB large.
+_BLOCK_BYTES = 1 << 20
 
-def load_batch(dataset: Dataset, indices, modality: str, noise_std: float = 0.0,
-               rng=None, task=None):
+
+def _block_records(dataset: Dataset) -> int:
+    """Records per block of the loader for this dataset's geometry."""
+    per_record = 16 * dataset.n_rx * dataset.n_tx * dataset.n_subcarriers
+    return max(1, _BLOCK_BYTES // per_record)
+
+
+def _checked_indices(dataset: Dataset, indices) -> np.ndarray:
+    """Indices as int64, refusing any outside [0, n_records) before they
+    index anything (a negative index would otherwise wrap to the end)."""
+    indices = np.asarray(indices, dtype=np.int64)
+    bad = indices[(indices < 0) | (indices >= dataset.n_records)]
+    if bad.size:
+        raise ContractError(f"record index {int(bad[0])} outside [0, {dataset.n_records})")
+    return indices
+
+
+def _blocks(dataset: Dataset, indices: np.ndarray, modality: str):
+    """Yields (heads, tensor) for consecutive blocks of `indices`: each
+    record's unpacked header and the block's complex128 modality tensor
+    [B, n_rx, n_tx, bins], CSI by one cir_to_csi per block.  The CIR
+    buffer is reused from block to block."""
+    buf = dataset._buf
+    offsets = dataset.manifest["offsets"]
+    shape = (dataset.n_rx, dataset.n_tx, dataset.n_taps)
+    n_cir = math.prod(shape)
+    step = _block_records(dataset)
+    cir = np.empty((min(step, len(indices)), n_cir), dtype=np.complex128)
+    for lo in range(0, len(indices), step):
+        heads = []
+        for row, index in enumerate(indices[lo:lo + step].tolist()):
+            offset = offsets[index]
+            head = _REC_HEAD.unpack_from(buf, offset)
+            offset += _REC_HEAD.size + head[-1] * _REC_PATH.size
+            cir[row] = np.frombuffer(buf, dtype="<c8", count=n_cir, offset=offset)
+            heads.append(head)
+        tensor = cir[:len(heads)].reshape(len(heads), *shape)
+        if modality == "csi":
+            tensor = cir_to_csi(tensor, dataset.n_subcarriers)
+        yield heads, tensor
+
+
+def load_batch(dataset: Dataset, indices, modality: str, task=None):
     """Load records as a normalized model-input batch.
 
     Returns (x, labels): x is float32 [N, 2, n_rx*n_tx, n_subcarriers];
     labels is None without a task, float64 positions [N, 3] for
     'positioning', int64 class ids for 'beam' / 'los'.  modality 'cir'
     zero-pads taps up to the subcarrier count; 'csi' is derived on the fly
-    from the stored delay response.  noise_std > 0 adds circular complex
-    Gaussian noise to the raw (unshaped) modality tensor and needs an rng.
+    from the stored delay response.  Records are decoded, transformed,
+    shaped and normalized in blocks of at most _BLOCK_BYTES of CSI.
     """
     if modality not in ("cir", "csi"):
         raise ContractError(f"unknown modality '{modality}'")
     if task is not None and task not in _TASK_LABELS:
         raise ContractError(f"unknown task '{task}' (expected one of {_TASK_LABELS})")
-    if noise_std < 0:
-        raise ContractError(f"noise_std must be nonnegative, got {noise_std}")
-    if noise_std > 0 and rng is None:
-        raise ContractError("noisy loading needs an rng")
-    indices = np.asarray(indices, dtype=np.int64)
+    indices = _checked_indices(dataset, indices)
     stats = dataset.norm_stats(modality)
 
-    xs = np.empty((len(indices), 2, dataset.n_rx * dataset.n_tx, dataset.n_subcarriers),
-                  dtype=np.float64)
-    positions = np.empty((len(indices), 3), dtype=np.float64)
-    beams = np.empty(len(indices), dtype=np.int64)
-    los = np.empty(len(indices), dtype=np.int64)
-    for row, idx in enumerate(indices):
-        sample, cir = dataset.record(int(idx))
-        tensor = cir.astype(np.complex128)
-        if modality == "csi":
-            tensor = cir_to_csi(tensor, dataset.n_subcarriers)
-        if noise_std > 0:
-            scale = noise_std / np.sqrt(2.0)
-            tensor = tensor + scale * (rng.standard_normal(tensor.shape)
-                                       + 1j * rng.standard_normal(tensor.shape))
-        xs[row] = shape_input(tensor, n_bins=dataset.n_subcarriers)
-        positions[row] = sample.ue_position
-        beams[row] = sample.beam_label
-        los[row] = sample.los_label
+    x = np.empty((len(indices), 2, dataset.n_rx * dataset.n_tx, dataset.n_subcarriers),
+                 dtype=np.float32)
+    heads = []
+    for block_heads, tensor in _blocks(dataset, indices, modality):
+        lo = len(heads)
+        heads.extend(block_heads)
+        x[lo:len(heads)] = normalize(shape_input(tensor, n_bins=dataset.n_subcarriers), stats)
 
-    x = normalize(xs, stats).astype(np.float32)
+    # header fields: scenario_id, ux, uy, uz, los, beam, n_paths
     if task == "positioning":
-        labels = positions
+        labels = np.array([h[1:4] for h in heads], dtype=np.float64).reshape(len(heads), 3)
     elif task == "beam":
-        labels = beams
+        labels = np.array([h[5] for h in heads], dtype=np.int64)
     elif task == "los":
-        labels = los
+        labels = np.array([bool(h[4]) for h in heads], dtype=np.int64)
     else:
         labels = None
     return x, labels
 
 
+class _ShapedRecords:
+    """Re-iterable view of shaped float64 [2, P, K] records, rebuilt block
+    by block on each pass, so a two-pass fit never holds the whole split."""
+
+    def __init__(self, dataset: Dataset, indices: np.ndarray, modality: str):
+        self._args = (dataset, indices, modality)
+
+    def __iter__(self):
+        n_bins = self._args[0].n_subcarriers
+        for _, tensor in _blocks(*self._args):
+            yield from shape_input(tensor, n_bins=n_bins)
+
+
 def fit_split_stats(dataset: Dataset, indices, modality: str) -> NormStats:
     """Fit normalization statistics over training-split records only;
     passing a validation record is a contract violation (statistics must
-    never see held-out data)."""
-    indices = np.asarray(indices, dtype=np.int64)
+    never see held-out data).  The fit streams the records in loader
+    blocks, one record at a time, so its sums run in record order."""
+    indices = _checked_indices(dataset, indices)
     flags = dataset.split_flags()
     bad = indices[flags[indices] != 1]
     if bad.size:
         raise ContractError(
             f"normalization stats must be fit on the training split; "
             f"got validation record(s) {bad[:5].tolist()}")
-    shaped = np.empty((len(indices), 2, dataset.n_rx * dataset.n_tx, dataset.n_subcarriers),
-                      dtype=np.float64)
-    for row, idx in enumerate(indices):
-        _, cir = dataset.record(int(idx))
-        tensor = cir.astype(np.complex128)
-        if modality == "csi":
-            tensor = cir_to_csi(tensor, dataset.n_subcarriers)
-        shaped[row] = shape_input(tensor, n_bins=dataset.n_subcarriers)
-    return fit_norm_stats(shaped)
+    return fit_norm_stats(_ShapedRecords(dataset, indices, modality))
 
 
 def attach_norm_stats(manifest: dict, dataset: Dataset) -> dict:

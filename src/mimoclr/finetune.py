@@ -26,7 +26,7 @@ from .nncore.layers import Encoder, EncoderConfig, Head, HeadConfig, prefixed
 from .nncore.losses import cross_entropy_loss, mse_loss
 from .nncore.optim import AdamW
 from .nncore.tensor import Tensor, no_grad
-from .pretrain import encode_batch, load_pretrain_state
+from .pretrain import FORWARD_CHUNK, encode_batch, load_pretrain_state
 from .rngstream import stream
 
 KIND_ALIASES = {
@@ -192,8 +192,10 @@ def _loss(run: FinetuneRun, out: Tensor, labels):
     return mse_loss(out, Tensor(np.asarray(labels, dtype=out.dtype)))
 
 
-def _predict(run: FinetuneRun, x: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Forward-only head outputs; records no tape."""
+def _predict(run: FinetuneRun, x: np.ndarray, chunk: int = FORWARD_CHUNK) -> np.ndarray:
+    """Forward-only head outputs; records no tape.  Chunks of 64 records
+    keep the im2col buffers small enough for the allocator to reuse them
+    (see pretrain.FORWARD_CHUNK)."""
     with no_grad():
         if run.freeze_encoder:
             z = encode_batch(run.encoder, x, chunk)

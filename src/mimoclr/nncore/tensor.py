@@ -186,7 +186,15 @@ def matmul(a: Tensor, b: Tensor):
         if b.requires_grad:
             b._accumulate(a.data.T @ g)
 
-    return _make(a.data @ b.data, (a, b), backward)
+    x = a.data
+    if x.ndim == 2 and x.shape[0] == 1:
+        # numpy hands a one-row product to BLAS gemv, which rounds
+        # differently from the gemm of every larger batch; a two-row gemm
+        # keeps a row's result independent of how many rows share the call.
+        out = (np.concatenate([x, x]) @ b.data)[:1]
+    else:
+        out = x @ b.data
+    return _make(out, (a, b), backward)
 
 
 def transpose(a: Tensor):

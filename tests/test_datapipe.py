@@ -11,7 +11,7 @@ from mimoclr import datapipe
 from mimoclr.chanmodel import (ArrayGeometry, ScenarioConfig, build_codebook,
                                generate_scenario, synthesize_cir)
 from mimoclr.errors import ConfigError, ContractError, DataError
-from mimoclr.sigproc import cir_to_csi, shape_input
+from mimoclr.sigproc import cir_to_csi, fit_norm_stats, shape_input
 
 
 def small_config(scenario_id=0, n_ue=30, **kw):
@@ -181,22 +181,121 @@ def test_loaded_csi_is_dft_of_stored_cir(tmp_path):
         assert np.allclose(x[0], want, atol=1e-6)
 
 
-def test_load_batch_noise_contract(tmp_path):
-    ds, _, _, _ = build_dataset(tmp_path)
-    with pytest.raises(ContractError):
-        datapipe.load_batch(ds, [0], "csi", noise_std=0.1)  # rng missing
-    rng = np.random.default_rng(0)
-    x1, _ = datapipe.load_batch(ds, [0], "csi", noise_std=0.5, rng=rng)
-    x0, _ = datapipe.load_batch(ds, [0], "csi")
-    assert not np.array_equal(x0, x1)
-
-
 def test_load_batch_rejects_unknown(tmp_path):
     ds, _, _, _ = build_dataset(tmp_path)
     with pytest.raises(ContractError):
         datapipe.load_batch(ds, [0], "spectrogram")
     with pytest.raises(ContractError):
         datapipe.load_batch(ds, [0], "csi", task="regression")
+
+
+def test_load_batch_rejects_out_of_range_indices(mini_dataset):
+    # a negative index must not wrap around to the last record
+    for modality in ("cir", "csi"):
+        for bad in ([-1], [0, mini_dataset.n_records]):
+            with pytest.raises(ContractError, match="outside"):
+                datapipe.load_batch(mini_dataset, bad, modality)
+    with pytest.raises(ContractError, match="outside"):
+        datapipe.fit_split_stats(mini_dataset, [-1], "csi")
+
+
+# The per-record loader and stat fit this package used before block
+# loading, kept as the oracle for the block loader.
+def _reference_shaped(ds, indices, modality):
+    p, k = ds.n_rx * ds.n_tx, ds.n_subcarriers
+    xs = np.empty((len(indices), 2, p, k), dtype=np.float64)
+    samples = []
+    for row, idx in enumerate(indices):
+        sample, cir = ds.record(int(idx))
+        tensor = cir.astype(np.complex128)
+        if modality == "csi":
+            tensor = np.fft.fft(tensor, n=k, axis=-1)
+        flat = tensor.reshape(p, tensor.shape[-1])
+        shaped = np.zeros((2, p, k), dtype=np.float64)
+        shaped[0, :, :flat.shape[1]] = flat.real
+        shaped[1, :, :flat.shape[1]] = flat.imag
+        xs[row] = shaped
+        samples.append(sample)
+    return xs, samples
+
+
+def _reference_load_batch(ds, indices, modality, task):
+    xs, samples = _reference_shaped(ds, indices, modality)
+    st = ds.norm_stats(modality)
+    x = (((xs - st.vmin) / (st.vmax - st.vmin) - st.mean) / st.std).astype(np.float32)
+    positions = np.empty((len(samples), 3), dtype=np.float64)
+    beams = np.empty(len(samples), dtype=np.int64)
+    los = np.empty(len(samples), dtype=np.int64)
+    for row, s in enumerate(samples):
+        positions[row] = s.ue_position
+        beams[row] = s.beam_label
+        los[row] = s.los_label
+    return x, {"positioning": positions, "beam": beams, "los": los, None: None}[task]
+
+
+def assert_same_batch(got, want):
+    (x, labels), (x_ref, labels_ref) = got, want
+    assert x.dtype == x_ref.dtype and x.shape == x_ref.shape
+    assert np.array_equal(x, x_ref)
+    if labels_ref is None:
+        assert labels is None
+    else:
+        assert labels.dtype == labels_ref.dtype and labels.shape == labels_ref.shape
+        assert np.array_equal(labels, labels_ref)
+
+
+LOADER_INDICES = {
+    "empty": [], "one": [7], "block_minus_one": list(range(31)),
+    "block": list(range(32)), "block_plus_one": list(range(33)),
+    "unsorted_repeated": [int(i) for i in np.random.default_rng(3).integers(0, 120, 77)],
+}
+
+
+@pytest.mark.parametrize("modality", ["cir", "csi"])
+@pytest.mark.parametrize("task", [None, "positioning", "beam", "los"])
+@pytest.mark.parametrize("case", sorted(LOADER_INDICES))
+def test_block_loader_equals_per_record_loop(mini_dataset, modality, task, case):
+    indices = LOADER_INDICES[case]
+    assert datapipe._block_records(mini_dataset) == 32
+    assert_same_batch(datapipe.load_batch(mini_dataset, indices, modality, task=task),
+                      _reference_load_batch(mini_dataset, indices, modality, task))
+
+
+@pytest.fixture(scope="module")
+def paper_geometry_dataset(tmp_path_factory):
+    """Five records at the paper preset's geometry (P = 256, K = 256)."""
+    cfg = small_config(0, 5, tx_geometry=ArrayGeometry(8, 8), rx_geometry=ArrayGeometry(2, 2),
+                       n_taps=64, n_subcarriers=256, codebook_size=64, bandwidth_hz=2e7)
+    root = tmp_path_factory.mktemp("paper_geometry")
+    mpath, rpath = str(root / "manifest.json"), str(root / "samples.bin")
+    manifest = datapipe.write_dataset([(cfg, generate_scenario(cfg, 2))], mpath, rpath, 2)
+    datapipe.split_dataset(manifest, 0.8, 2)
+    datapipe.save_manifest(manifest, mpath)
+    ds = datapipe.open_dataset(mpath)
+    datapipe.attach_norm_stats(manifest, ds)
+    datapipe.save_manifest(manifest, mpath)
+    return datapipe.open_dataset(mpath)
+
+
+@pytest.mark.parametrize("modality", ["cir", "csi"])
+def test_block_loader_equals_loop_at_paper_geometry(paper_geometry_dataset, modality):
+    ds = paper_geometry_dataset
+    assert datapipe._block_records(ds) == 1
+    for task in (None, "positioning", "beam", "los"):
+        indices = [4, 0, 2, 2]
+        assert_same_batch(datapipe.load_batch(ds, indices, modality, task=task),
+                          _reference_load_batch(ds, indices, modality, task))
+    train = ds.train_indices()
+    assert datapipe.fit_split_stats(ds, train, modality) == fit_norm_stats(
+        _reference_shaped(ds, train, modality)[0])
+
+
+@pytest.mark.parametrize("modality", ["cir", "csi"])
+def test_streamed_stat_fit_equals_full_array_fit(mini_dataset, modality):
+    train = mini_dataset.train_indices()
+    assert len(train) > 2 * datapipe._block_records(mini_dataset)
+    want = fit_norm_stats(_reference_shaped(mini_dataset, train, modality)[0])
+    assert datapipe.fit_split_stats(mini_dataset, train, modality) == want
 
 
 def test_stat_fitting_rejects_validation_records(tmp_path):

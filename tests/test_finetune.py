@@ -236,6 +236,17 @@ def test_predict_matches_taped_forward_and_leaves_grads(mini_dataset, mini_check
         assert p.grad is marker[k] and np.all(p.grad == 7.0), k
 
 
+@pytest.mark.parametrize("frozen", [False, True])
+def test_predict_is_chunk_invariant(mini_dataset, mini_checkpoint, frozen):
+    run = F.init_finetune_run(mini_dataset, "pos", "pretrained", 5, FT,
+                              checkpoint_path=mini_checkpoint, freeze_encoder=frozen)
+    x, _ = F._task_arrays(mini_dataset, np.arange(260) % mini_dataset.n_records, run.task)
+    want = F._predict(run, x, chunk=256)
+    for chunk in (1, 63, 64):
+        assert np.array_equal(F._predict(run, x, chunk=chunk), want), chunk
+    assert np.array_equal(F._predict(run, x), want)
+
+
 @pytest.mark.parametrize("task", ["pos", "beam", "los"])
 @pytest.mark.parametrize("init", ["scratch", "pretrained", "probe"])
 def test_summary_metric_equals_fresh_evaluate(mini_dataset, mini_checkpoint, task, init):

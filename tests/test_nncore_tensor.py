@@ -308,3 +308,15 @@ def test_conv2d_forward_bias_bit_equal(x_shape, w_shape):
         + b[None, :, None, None]
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_matmul_row_does_not_depend_on_row_count(dtype):
+    # desk projection shape: a one-row product must equal that row of a
+    # many-row product (numpy alone would route it through BLAS gemv)
+    rng = np.random.default_rng(4)
+    h = rng.standard_normal((65, 96)).astype(dtype)
+    w = Tensor(rng.standard_normal((96, 64)).astype(dtype))
+    full = T.matmul(Tensor(h), w).data
+    for row in (0, 64):
+        assert np.array_equal(T.matmul(Tensor(h[row:row + 1]), w).data, full[row:row + 1])

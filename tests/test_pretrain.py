@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mimoclr import pretrain as P
+from mimoclr.config import load_config, pretrain_config
 from mimoclr.errors import ConfigError, ContractError
 from mimoclr.nncore.tensor import Tensor
 from mimoclr.rngstream import stream
@@ -245,3 +246,15 @@ def test_encode_batch_matches_taped_forward_and_leaves_grads(mini_dataset):
     assert np.array_equal(P.encode_batch(enc, x), taped)
     for k, p in enc.params.items():
         assert p.grad is marker[k] and np.all(p.grad == 7.0), k
+
+
+def test_encode_batch_is_chunk_invariant(mini_dataset):
+    # desk-preset architecture; 260 records cross every chunk boundary
+    cfg = pretrain_config(load_config("desk"))
+    enc = make_state(cfg).csi_encoder
+    x = P.load_pairs(mini_dataset, np.arange(260) % mini_dataset.n_records).x_csi
+    want = P.encode_batch(enc, x, chunk=256)
+    assert P.FORWARD_CHUNK == 64
+    for chunk in (1, 63, 64):
+        assert np.array_equal(P.encode_batch(enc, x, chunk=chunk), want), chunk
+    assert np.array_equal(P.encode_batch(enc, x), want)

@@ -80,6 +80,19 @@ def test_shape_input_rejects_padding_shrink():
         shape_input(np.zeros((2, 2, 16), complex), n_bins=8)
 
 
+@pytest.mark.parametrize("n_bins", [32, 64])
+def test_shape_input_batch_axis_stacks_records(n_bins):
+    rng = np.random.default_rng(5)
+    batch = rand_cir(rng, (3, 2, 16, 32))
+    x = shape_input(batch, n_bins=n_bins)
+    assert x.shape == (3, 2, 32, n_bins) and x.dtype == np.float64
+    for b in range(3):
+        assert np.array_equal(x[b], shape_input(batch[b], n_bins=n_bins))
+    for bad in ((16, 32), (1, 3, 2, 16, 32)):
+        with pytest.raises(ContractError):
+            shape_input(np.zeros(bad, complex))
+
+
 def fit_oracle(batch):
     """Two-pass reference with explicit loops over a small batch."""
     vals = np.asarray(batch, dtype=float).ravel()
