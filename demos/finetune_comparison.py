@@ -11,8 +11,8 @@ subset, same data order).
 
 import tempfile
 
-from mimoclr import datapipe
 from mimoclr.chanmodel import ScenarioConfig, generate_scenario
+from mimoclr.datapipe import build_dataset
 from mimoclr.finetune import (FinetuneConfig, evaluate, finetune, improvement_report,
                               init_finetune_run)
 from mimoclr.pretrain import PretrainConfig, run_pretraining
@@ -22,13 +22,7 @@ tmp = tempfile.mkdtemp(prefix="ftcomp_")
 cfgs = [ScenarioConfig(scenario_id=0, n_ue=150),
         ScenarioConfig(scenario_id=1, n_ue=150, cell_radius=100.0, blockage_prob=0.45)]
 scenarios = [(c, generate_scenario(c, seed=0)) for c in cfgs]
-manifest = datapipe.write_dataset(scenarios, f"{tmp}/manifest.json", f"{tmp}/samples.bin", 0)
-datapipe.split_dataset(manifest, 0.8, 0)
-datapipe.save_manifest(manifest, f"{tmp}/manifest.json")
-ds = datapipe.open_dataset(f"{tmp}/manifest.json")
-datapipe.attach_norm_stats(manifest, ds)
-datapipe.save_manifest(manifest, f"{tmp}/manifest.json")
-ds = datapipe.open_dataset(f"{tmp}/manifest.json")
+ds = build_dataset(scenarios, tmp, seed=0, train_fraction=0.8)
 
 # --- stage 1: pretraining on unlabeled pairs -------------------------------
 pre_cfg = PretrainConfig(seed=0, batch_size=32, lr=2e-3, max_epochs=15,

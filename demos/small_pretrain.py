@@ -12,8 +12,8 @@ import tempfile
 
 import numpy as np
 
-from mimoclr import datapipe
 from mimoclr.chanmodel import ScenarioConfig, generate_scenario
+from mimoclr.datapipe import build_dataset
 from mimoclr.pretrain import (PretrainConfig, embedding_spread, encode_batch,
                               evaluate_pairs, init_pretrain_state, load_pairs,
                               pretrain_epoch)
@@ -23,13 +23,7 @@ tmp = tempfile.mkdtemp(prefix="smallpre_")
 cfgs = [ScenarioConfig(scenario_id=0, n_ue=150),
         ScenarioConfig(scenario_id=1, n_ue=150, cell_radius=100.0, blockage_prob=0.25)]
 scenarios = [(c, generate_scenario(c, seed=0)) for c in cfgs]
-manifest = datapipe.write_dataset(scenarios, f"{tmp}/manifest.json", f"{tmp}/samples.bin", 0)
-datapipe.split_dataset(manifest, 0.8, 0)
-datapipe.save_manifest(manifest, f"{tmp}/manifest.json")
-ds = datapipe.open_dataset(f"{tmp}/manifest.json")
-datapipe.attach_norm_stats(manifest, ds)
-datapipe.save_manifest(manifest, f"{tmp}/manifest.json")
-ds = datapipe.open_dataset(f"{tmp}/manifest.json")
+ds = build_dataset(scenarios, tmp, seed=0, train_fraction=0.8)
 print(f"dataset: {ds.n_records} records, {len(ds.train_indices())} train / "
       f"{len(ds.val_indices())} val")
 

@@ -11,18 +11,17 @@ and the pretrained-vs-scratch comparison), cli (operator commands).
 from . import chanmodel, cli, config, datapipe, finetune, nncore, pretrain, sigproc
 from .chanmodel import (ArrayGeometry, ChannelSample, Codebook, PathParams,
                         ScenarioConfig, beam_powers, build_codebook, generate_scenario,
-                        optimal_beam, received_power, steering_vector, synthesize_cir,
-                        synthesize_csi)
-from .datapipe import Dataset, open_dataset, split_dataset, stratified_cap, write_dataset
+                        optimal_beam, steering_vector, synthesize_cir, synthesize_csi)
+from .datapipe import (Dataset, build_dataset, open_dataset, split_dataset, stratified_cap,
+                       write_dataset)
 from .errors import (ConfigError, ContractError, DataError, DegenerateDataError,
                      GenerationError, MimoclrError, TrainingDivergenceError)
 # NB: the finetune *function* stays under mimoclr.finetune so the submodule
 # name keeps pointing at the module
 from .finetune import (FinetuneConfig, FinetuneRun, TaskSpec, evaluate_classification,
-                       evaluate_positioning, improvement_report, init_finetune_run,
-                       linear_probe)
-from .pretrain import (PretrainConfig, PretrainState, early_stop_check, init_pretrain_state,
-                       pretrain_epoch, retrieval_accuracy, run_pretraining)
+                       evaluate_positioning, improvement_report, init_finetune_run)
+from .pretrain import (PretrainConfig, PretrainState, init_pretrain_state, pretrain_epoch,
+                       run_pretraining)
 from .sigproc import NormStats, cir_to_csi, csi_to_cir, fit_norm_stats, normalize, shape_input
 
 __version__ = "0.1.0"

@@ -152,17 +152,6 @@ def synthesize_csi(sample: ChannelSample, tx: ArrayGeometry, rx: ArrayGeometry,
     return H
 
 
-def received_power(csi: np.ndarray, beam: np.ndarray) -> float:
-    """Wideband received power for one transmit beam: sum over subcarriers of
-    ||H[:, :, k] @ beam||^2."""
-    if csi.ndim != 3 or beam.ndim != 1 or beam.shape[0] != csi.shape[1]:
-        raise ContractError(
-            f"beam length {beam.shape} does not match CSI tx dimension {csi.shape}"
-        )
-    rx_signal = np.einsum("rtk,t->rk", csi, beam)
-    return float(np.sum(np.abs(rx_signal) ** 2))
-
-
 def beam_powers(csi: np.ndarray, cb: Codebook) -> np.ndarray:
     """Received power of every beam in the codebook, shape [B]."""
     if csi.shape[1] != cb.vectors.shape[0]:

@@ -38,6 +38,10 @@ def _echo(command: str, payload: dict) -> None:
         print(f"# {line}")
 
 
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=1) + "\n").encode("utf-8")
+
+
 def cmd_generate(args) -> int:
     cfg = cfgmod.load_config(args.config)
     ds_params = cfgmod.dataset_params(cfg)
@@ -52,18 +56,10 @@ def cmd_generate(args) -> int:
         keep = datapipe.stratified_cap([len(s) for _, s in scenarios], ds_params["cap"], seed)
         scenarios = [(c, [s[i] for i in idx]) for (c, s), idx in zip(scenarios, keep)]
 
-    os.makedirs(args.out, exist_ok=True)
-    manifest_path = os.path.join(args.out, "manifest.json")
-    records_path = os.path.join(args.out, "samples.bin")
-    manifest = datapipe.write_dataset(scenarios, manifest_path, records_path, seed)
-    datapipe.split_dataset(manifest, ds_params["train_fraction"], seed)
-    datapipe.save_manifest(manifest, manifest_path)
-    dataset = datapipe.open_dataset(manifest_path)
-    datapipe.attach_norm_stats(manifest, dataset)
-    datapipe.save_manifest(manifest, manifest_path)
-
+    manifest = datapipe.build_dataset(scenarios, args.out, seed,
+                                      ds_params["train_fraction"]).manifest
     n_train = int(np.sum(np.asarray(manifest["split"]) == 1))
-    print(f"wrote {manifest['n_records']} records -> {records_path}")
+    print(f"wrote {manifest['n_records']} records -> {os.path.join(args.out, 'samples.bin')}")
     for c, samples in scenarios:
         print(f"  scenario {c.scenario_id}: {len(samples)} samples")
     print(f"split: {n_train} train / {manifest['n_records'] - n_train} val")
@@ -112,10 +108,7 @@ def _finetune_one(payload: dict) -> dict:
     ckpt.save_checkpoint(os.path.join(payload["out"], stem + ".ckpt"),
                          {"kind": "finetune", **summary}, tensors)
     art_path = os.path.join(payload["out"], stem + ".json")
-    with open(art_path + ".tmp", "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=1)
-        f.write("\n")
-    os.replace(art_path + ".tmp", art_path)
+    ckpt.atomic_write(art_path, _json_bytes(summary))
     summary["artifact"] = art_path
     return summary
 
@@ -219,10 +212,7 @@ def cmd_report(args) -> int:
     else:
         print("no artifacts to report")
     if args.json:
-        with open(args.json + ".tmp", "w", encoding="utf-8") as f:
-            json.dump(report, f, indent=1)
-            f.write("\n")
-        os.replace(args.json + ".tmp", args.json)
+        ckpt.atomic_write(args.json, _json_bytes(report))
         print(f"json report: {args.json}")
     return 0
 

@@ -17,8 +17,9 @@ Only the delay-domain response is stored; the frequency response is always
 derived at load time with sigproc.cir_to_csi, so the two views of a sample
 can never drift apart.  The manifest is a JSON sidecar carrying geometry,
 per-record byte offsets, the train/val split, normalization statistics, and
-a sha256 checksum of the record file.  All writes go through a temp file
-plus rename.
+a sha256 checksum of the record file.  All writes go through
+nncore.checkpoint.atomic_write (temp file plus rename).  build_dataset is
+the one way to turn generated scenarios into a split, normalized dataset.
 """
 
 import dataclasses
@@ -33,6 +34,7 @@ import numpy as np
 from .chanmodel import (ArrayGeometry, ChannelSample, PathParams, ScenarioConfig,
                         synthesize_cir)
 from .errors import ConfigError, ContractError, DataError
+from .nncore.checkpoint import atomic_write
 from .rngstream import stream
 from .sigproc import NormStats, cir_to_csi, fit_norm_stats, normalize, shape_input
 
@@ -86,21 +88,6 @@ def _geom_from(d: dict) -> ArrayGeometry:
     return ArrayGeometry(rows=d["rows"], cols=d["cols"], spacing=d["spacing"])
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
-
-
-def sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def write_dataset(scenarios, manifest_path: str, records_path: str, seed: int) -> dict:
     """Persist generated scenarios; returns the manifest dict.
 
@@ -132,13 +119,13 @@ def write_dataset(scenarios, manifest_path: str, records_path: str, seed: int) -
             offsets.append(len(blob))
             scenario_ids.append(s.scenario_id)
             blob.extend(encode_record(s, cir.astype(np.complex64)))
-    _atomic_write(records_path, bytes(blob))
+    atomic_write(records_path, blob)
 
     manifest = {
         "format_version": MANIFEST_VERSION,
         "seed": int(seed),
         "records_file": os.path.basename(records_path),
-        "records_sha256": sha256_file(records_path),
+        "records_sha256": hashlib.sha256(blob).hexdigest(),
         "n_records": len(offsets),
         "offsets": offsets,
         "scenario_ids": scenario_ids,
@@ -160,7 +147,7 @@ def write_dataset(scenarios, manifest_path: str, records_path: str, seed: int) -
 
 
 def save_manifest(manifest: dict, path: str) -> None:
-    _atomic_write(path, json.dumps(manifest, indent=1).encode("utf-8"))
+    atomic_write(path, json.dumps(manifest, indent=1).encode("utf-8"))
 
 
 def load_manifest(path: str) -> dict:
@@ -216,23 +203,21 @@ class Dataset:
         return NormStats(vmin=d["vmin"], vmax=d["vmax"], mean=d["mean"], std=d["std"])
 
 
-def open_dataset(manifest_path: str, records_path=None, verify: bool = True) -> Dataset:
-    """Load a dataset; with verify=True the record file must match the
+def open_dataset(manifest_path: str) -> Dataset:
+    """Load a dataset; the record file next to the manifest must match the
     manifest's sha256 (any corruption fails the open)."""
     manifest = load_manifest(manifest_path)
-    if records_path is None:
-        records_path = os.path.join(os.path.dirname(manifest_path), manifest["records_file"])
+    records_path = os.path.join(os.path.dirname(manifest_path), manifest["records_file"])
     try:
         with open(records_path, "rb") as f:
             blob = f.read()
     except OSError as e:
         raise DataError(f"cannot read records {records_path}: {e}") from e
-    if verify:
-        digest = hashlib.sha256(blob).hexdigest()
-        if digest != manifest["records_sha256"]:
-            raise DataError(
-                f"{records_path}: checksum mismatch (manifest {manifest['records_sha256'][:12]}..., "
-                f"file {digest[:12]}...)")
+    digest = hashlib.sha256(blob).hexdigest()
+    if digest != manifest["records_sha256"]:
+        raise DataError(
+            f"{records_path}: checksum mismatch (manifest {manifest['records_sha256'][:12]}..., "
+            f"file {digest[:12]}...)")
     return Dataset(manifest, blob)
 
 
@@ -401,13 +386,15 @@ def attach_norm_stats(manifest: dict, dataset: Dataset) -> dict:
     return manifest
 
 
-def import_ray_dump(path: str):
-    """Adapter for external ray-tracer exports (DeepMIMO- or Sionna-style).
-
-    The mapping is: per-user path lists {complex gain, delay seconds, AoD/AoA
-    azimuth+elevation} quantize onto the tap grid via round(delay * bandwidth)
-    and feed the same record layout as write_dataset; positions come from the
-    exporter's user grid.  Not implemented — generate_scenario is the only
-    supported source today.
-    """
-    raise NotImplementedError("external ray-dump import is documented but not implemented")
+def build_dataset(scenarios, out_dir: str, seed: int, train_fraction: float) -> Dataset:
+    """Write `scenarios` to out_dir/samples.bin + out_dir/manifest.json,
+    split them with `seed`, fit train-split normalization statistics, and
+    return the opened dataset (its manifest is the one saved on disk)."""
+    os.makedirs(out_dir, exist_ok=True)
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    write_dataset(scenarios, manifest_path, os.path.join(out_dir, "samples.bin"), seed)
+    dataset = open_dataset(manifest_path)
+    split_dataset(dataset.manifest, train_fraction, seed)
+    attach_norm_stats(dataset.manifest, dataset)
+    save_manifest(dataset.manifest, manifest_path)
+    return dataset

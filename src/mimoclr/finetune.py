@@ -26,7 +26,7 @@ from .nncore.layers import Encoder, EncoderConfig, Head, HeadConfig, prefixed
 from .nncore.losses import cross_entropy_loss, mse_loss
 from .nncore.optim import AdamW
 from .nncore.tensor import Tensor, no_grad
-from .pretrain import FORWARD_CHUNK, encode_batch, load_pretrain_state
+from .pretrain import FORWARD_CHUNK, config_from_dict, encode_batch, load_pretrain_state
 from .rngstream import stream
 
 KIND_ALIASES = {
@@ -88,16 +88,7 @@ class FinetuneConfig:
             raise ConfigError(f"label_budget must be >= 0, got {self.label_budget}")
         return self
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FinetuneConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown finetune config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "widths" in d:
-            d["widths"] = tuple(d["widths"])
-        return cls(**d).validated()
+    from_dict = classmethod(config_from_dict)
 
 
 @dataclasses.dataclass
@@ -312,16 +303,6 @@ def evaluate(run: FinetuneRun, dataset: Dataset, indices) -> float:
     if run.task.is_classification:
         return evaluate_classification(run, dataset, indices)
     return evaluate_positioning(run, dataset, indices)
-
-
-def linear_probe(checkpoint_path: str, dataset: Dataset, task_kind: str, seed: int,
-                 config: FinetuneConfig, epochs=None) -> FinetuneRun:
-    """Head-only training on frozen pretrained features.  Reported next to
-    full fine-tuning for context; no performance floor is promised in this
-    regime."""
-    run = init_finetune_run(dataset, task_kind, "pretrained", seed, config,
-                            checkpoint_path=checkpoint_path, freeze_encoder=True)
-    return finetune(run, dataset, epochs)
 
 
 def improvement_report(pretrained_metric: float, scratch_metric: float, task_kind: str) -> dict:

@@ -18,8 +18,18 @@ MAGIC = b"MCLRCKPT"
 FORMAT_VERSION = 1
 
 
+def atomic_write(path: str, data: bytes) -> None:
+    """Replace `path` with `data` through a temp file and a rename in the
+    target directory, so readers see the old file or the new one, never a
+    partial write."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as f:
+        f.write(data)
+    os.replace(tmp, path)
+
+
 def save_checkpoint(path: str, meta: dict, tensors: dict) -> None:
-    """Write atomically (temp file + rename in the target directory)."""
+    """Write atomically (see atomic_write)."""
     entries = []
     blobs = []
     for name, arr in tensors.items():
@@ -27,15 +37,8 @@ def save_checkpoint(path: str, meta: dict, tensors: dict) -> None:
         entries.append({"name": name, "shape": list(arr.shape)})
         blobs.append(arr.tobytes())  # C order regardless of input strides
     header = json.dumps({"meta": meta, "tensors": entries}).encode("utf-8")
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<Q", len(header)))
-        f.write(header)
-        for blob in blobs:
-            f.write(blob)
-    os.replace(tmp, path)
+    atomic_write(path, b"".join([MAGIC, struct.pack("<I", FORMAT_VERSION),
+                                 struct.pack("<Q", len(header)), header, *blobs]))
 
 
 def load_checkpoint(path: str):

@@ -16,18 +16,6 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Plain-numpy cosine between two vectors; zero vectors are rejected."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise ContractError(f"cosine needs equal lengths, got {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ContractError("cosine similarity undefined for a zero vector")
-    return float(np.dot(a, b) / (na * nb))
-
-
 def _directional(zn: Tensor, wn: Tensor, tau) -> Tensor:
     n = zn.shape[0]
     logits = T.div(T.matmul(zn, T.transpose(wn)), tau)

@@ -37,6 +37,20 @@ log = logging.getLogger(__name__)
 FORWARD_CHUNK = 64
 
 
+def config_from_dict(cls, d: dict):
+    """Build and validate a config dataclass (PretrainConfig or
+    FinetuneConfig) from a config-file section; unknown keys are a
+    ConfigError naming the section."""
+    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        section = cls.__name__.removesuffix("Config").lower()
+        raise ConfigError(f"unknown {section} config keys: {sorted(unknown)}")
+    d = dict(d)
+    if "widths" in d:
+        d["widths"] = tuple(d["widths"])
+    return cls(**d).validated()
+
+
 @dataclasses.dataclass(frozen=True)
 class PretrainConfig:
     seed: int = 0
@@ -66,16 +80,7 @@ class PretrainConfig:
             raise ConfigError(f"max_epochs and patience must be >= 1")
         return self
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PretrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown pretrain config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "widths" in d:
-            d["widths"] = tuple(d["widths"])
-        return cls(**d).validated()
+    from_dict = classmethod(config_from_dict)
 
 
 @dataclasses.dataclass
@@ -162,15 +167,6 @@ def _batch_retrieval(z_csi: np.ndarray, z_cir: np.ndarray) -> float:
     return float(np.mean(np.argmax(sim, axis=1) == np.arange(sim.shape[0])))
 
 
-def retrieval_accuracy(state: PretrainState, pairs: PairArrays) -> float:
-    """In-batch pair retrieval on one batch of aligned views (>= 2 pairs)."""
-    if pairs.n < 2:
-        raise ContractError(f"retrieval needs a batch of >= 2, got {pairs.n}")
-    z_csi = encode_batch(state.csi_encoder, pairs.x_csi)
-    z_cir = encode_batch(state.cir_encoder, pairs.x_cir)
-    return _batch_retrieval(z_csi, z_cir)
-
-
 def embedding_spread(z: np.ndarray) -> float:
     """Std of pairwise cosine similarities among distinct rows (collapse
     indicator: a constant embedding has spread 0)."""
@@ -188,7 +184,7 @@ def _tau_graph(state: PretrainState):
     return T.maximum_const(T.exp(state.log_tau), state.config.tau_min)
 
 
-def pretrain_epoch(state: PretrainState, pairs: PairArrays, batch_size=None) -> dict:
+def pretrain_epoch(state: PretrainState, pairs: PairArrays) -> dict:
     """One seeded-shuffle pass over the training pairs; returns epoch metrics.
 
     Size-1 tail batches are dropped (a single pair has no negatives and
@@ -196,9 +192,7 @@ def pretrain_epoch(state: PretrainState, pairs: PairArrays, batch_size=None) -> 
     checkpoint replays the identical order.
     """
     cfg = state.config
-    bs = cfg.batch_size if batch_size is None else int(batch_size)
-    if bs < 2:
-        raise ContractError(f"pretraining needs batch_size >= 2, got {bs}")
+    bs = cfg.batch_size
     perm = stream(cfg.seed, "pretrain-shuffle", state.epoch).permutation(pairs.n)
     loss_sum = 0.0
     hit_sum = 0.0
@@ -252,27 +246,6 @@ def evaluate_pairs(state: PretrainState, pairs: PairArrays, batch_size: int) -> 
     if n_used == 0:
         raise ContractError("no usable evaluation batches")
     return loss_sum / n_used, hit_sum / n_used
-
-
-def early_stop_check(history, patience: int) -> bool:
-    """Stop when the streak of epochs without a new best loss exceeds
-    `patience`.  The opening epoch starts a streak of 1; only a strict
-    improvement over the running best clears it."""
-    if len(history) == 0:
-        raise ContractError("early stop needs a nonempty history")
-    if patience < 1:
-        raise ContractError(f"patience must be >= 1, got {patience}")
-    best = None
-    streak = 0
-    for v in history:
-        if best is not None and v < best:
-            best = v
-            streak = 0
-        else:
-            if best is None:
-                best = v
-            streak += 1
-    return streak > patience
 
 
 def _inner_split(dataset: Dataset, config: PretrainConfig):
@@ -361,7 +334,7 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
             with open(metrics_path, "r", encoding="utf-8") as f:
                 for line in f:
                     if line.strip() and json.loads(line)["epoch"] <= state.epoch:
-                        kept_lines.append(line.rstrip("\n"))
+                        kept_lines.append(line.rstrip("\n") + "\n")
     else:
         p = dataset.n_rx * dataset.n_tx
         state = init_pretrain_state(config, p, dataset.n_subcarriers)
@@ -370,11 +343,11 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
     pairs_fit = load_pairs(dataset, fit_idx)
     pairs_hold = load_pairs(dataset, hold_idx)
 
+    # the kept history is replaced atomically, so a failure from here on
+    # leaves at least the rows the checkpoint needs
+    ckpt.atomic_write(metrics_path, "".join(kept_lines).encode("utf-8"))
     rows = []
-    with open(metrics_path, "w", encoding="utf-8") as mf:
-        for line in kept_lines:
-            mf.write(line + "\n")
-        mf.flush()
+    with open(metrics_path, "a", encoding="utf-8") as mf:
         while state.epoch < cap and not state.schedule.stale > config.patience:
             em = pretrain_epoch(state, pairs_fit)
             val_loss, val_ret = evaluate_pairs(state, pairs_hold, config.batch_size)

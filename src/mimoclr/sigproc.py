@@ -54,14 +54,6 @@ def shape_input(tensor: np.ndarray, n_bins: int | None = None) -> np.ndarray:
     return out
 
 
-def unshape_input(x: np.ndarray, n_rx: int, n_tx: int, bins: int) -> np.ndarray:
-    """Inverse of shape_input on the unpadded region."""
-    if x.shape[0] != 2 or x.shape[1] != n_rx * n_tx:
-        raise ContractError(f"bad shaped input {x.shape} for {n_rx}x{n_tx}")
-    flat = x[0, :, :bins] + 1j * x[1, :, :bins]
-    return flat.reshape(n_rx, n_tx, bins)
-
-
 @dataclass(frozen=True)
 class NormStats:
     """Scalar normalization statistics of one modality, fitted on the

@@ -17,23 +17,12 @@ from mimoclr.pretrain import run_pretraining
 
 
 def _build(tmpdir, cfgs, seed, fraction, cap=None):
-    scenarios = []
-    for c in cfgs:
-        samples = generate_scenario(c, seed)
-        scenarios.append((c, samples))
+    scenarios = [(c, generate_scenario(c, seed)) for c in cfgs]
     if cap is not None:
         keep = datapipe.stratified_cap([len(s) for _, s in scenarios], cap, seed)
         scenarios = [(c, [s[i] for i in idx])
                      for (c, s), idx in zip(scenarios, keep)]
-    mpath = str(tmpdir / "manifest.json")
-    rpath = str(tmpdir / "samples.bin")
-    manifest = datapipe.write_dataset(scenarios, mpath, rpath, seed)
-    datapipe.split_dataset(manifest, fraction, seed)
-    datapipe.save_manifest(manifest, mpath)
-    ds = datapipe.open_dataset(mpath)
-    datapipe.attach_norm_stats(manifest, ds)
-    datapipe.save_manifest(manifest, mpath)
-    return datapipe.open_dataset(mpath)
+    return datapipe.build_dataset(scenarios, str(tmpdir), seed, fraction)
 
 
 @pytest.fixture(scope="session")

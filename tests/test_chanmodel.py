@@ -7,8 +7,7 @@ import pytest
 
 from mimoclr.chanmodel import (ArrayGeometry, ChannelSample, Codebook, PathParams,
                                ScenarioConfig, beam_powers, build_codebook,
-                               generate_scenario, optimal_beam, received_power,
-                               scatterer_field, steering_vector, synthesize_cir,
+                               generate_scenario, optimal_beam, scatterer_field, steering_vector, synthesize_cir,
                                synthesize_csi)
 from mimoclr.errors import ConfigError, ContractError
 
@@ -182,23 +181,6 @@ def test_csi_equals_dft_of_cir():
 
 
 # ---------------------------------------------------------------- beams
-
-def test_received_power_matches_loop_oracle():
-    rng = np.random.default_rng(3)
-    tx, rx = ArrayGeometry(4, 4), ArrayGeometry(2, 1)
-    cb = build_codebook(tx, 16)
-    for _ in range(10):
-        s = random_sample(rng, n_paths=5)
-        csi = synthesize_csi(s, tx, rx, 64)
-        b = int(rng.integers(0, 16))
-        got = received_power(csi, cb.vectors[:, b])
-        assert got == pytest.approx(beam_power_oracle(csi, cb.vectors[:, b]), rel=1e-12)
-
-
-def test_received_power_shape_mismatch():
-    with pytest.raises(ContractError):
-        received_power(np.zeros((2, 16, 64), complex), np.zeros(8, complex))
-
 
 def test_beam_powers_and_optimal_match_brute_force():
     rng = np.random.default_rng(19)

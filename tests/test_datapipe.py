@@ -18,20 +18,63 @@ def small_config(scenario_id=0, n_ue=30, **kw):
     return ScenarioConfig(scenario_id=scenario_id, n_ue=n_ue, **kw)
 
 
-def build_dataset(tmp_path, n_ue=30, seed=5, fraction=0.8, stats=True):
+def small_scenarios(n_ue=30, seed=5):
     cfgs = [small_config(0, n_ue), small_config(1, n_ue, cell_radius=100.0)]
-    scenarios = [(c, generate_scenario(c, seed)) for c in cfgs]
-    mpath = str(tmp_path / "manifest.json")
-    rpath = str(tmp_path / "samples.bin")
+    return [(c, generate_scenario(c, seed)) for c in cfgs]
+
+
+def build_dataset(tmp_path, n_ue=30, seed=5, fraction=0.8, stats=True):
+    scenarios = small_scenarios(n_ue, seed)
+    ds = datapipe.build_dataset(scenarios, str(tmp_path), seed, fraction)
+    if not stats:
+        ds.manifest["norm_stats"] = None
+    return ds, scenarios, str(tmp_path / "manifest.json"), str(tmp_path / "samples.bin")
+
+
+def _six_call_build(scenarios, out_dir, seed, fraction):
+    """The dataset build sequence every caller used to repeat: write,
+    split, save, open, fit stats, save, reopen."""
+    mpath, rpath = str(out_dir / "manifest.json"), str(out_dir / "samples.bin")
     manifest = datapipe.write_dataset(scenarios, mpath, rpath, seed)
     datapipe.split_dataset(manifest, fraction, seed)
     datapipe.save_manifest(manifest, mpath)
     ds = datapipe.open_dataset(mpath)
-    if stats:
-        datapipe.attach_norm_stats(manifest, ds)
-        datapipe.save_manifest(manifest, mpath)
-        ds = datapipe.open_dataset(mpath)
-    return ds, scenarios, mpath, rpath
+    datapipe.attach_norm_stats(manifest, ds)
+    datapipe.save_manifest(manifest, mpath)
+    return datapipe.open_dataset(mpath)
+
+
+def test_build_dataset_equals_six_call_sequence(tmp_path, monkeypatch):
+    scenarios = small_scenarios()
+    (tmp_path / "old").mkdir()
+    want = _six_call_build(scenarios, tmp_path / "old", 5, 0.8)
+
+    calls = []
+
+    def counted(name):
+        original = getattr(datapipe, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("write_dataset", "save_manifest", "open_dataset"):
+        monkeypatch.setattr(datapipe, name, counted(name))
+    got = datapipe.build_dataset(scenarios, str(tmp_path / "new"), 5, 0.8)
+    monkeypatch.undo()
+    # one write (records + manifest), one open, one manifest save
+    assert calls == ["write_dataset", "save_manifest", "open_dataset", "save_manifest"]
+
+    for name in ("manifest.json", "samples.bin"):
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+    assert got.manifest == want.manifest
+    assert got.manifest == datapipe.load_manifest(str(tmp_path / "new" / "manifest.json"))
+    indices = np.arange(got.n_records)
+    for modality in ("cir", "csi"):
+        for task in (None, "positioning", "beam", "los"):
+            assert_same_batch(datapipe.load_batch(got, indices, modality, task=task),
+                              datapipe.load_batch(want, indices, modality, task=task))
 
 
 def test_record_round_trip_bit_exact():
@@ -99,8 +142,6 @@ def test_checksum_detects_corruption(tmp_path):
     open(rpath, "wb").write(bytes(blob))
     with pytest.raises(DataError, match="checksum"):
         datapipe.open_dataset(mpath)
-    # verification can be waived explicitly
-    datapipe.open_dataset(mpath, verify=False)
 
 
 def test_split_sizes_and_determinism():
@@ -267,14 +308,7 @@ def paper_geometry_dataset(tmp_path_factory):
     cfg = small_config(0, 5, tx_geometry=ArrayGeometry(8, 8), rx_geometry=ArrayGeometry(2, 2),
                        n_taps=64, n_subcarriers=256, codebook_size=64, bandwidth_hz=2e7)
     root = tmp_path_factory.mktemp("paper_geometry")
-    mpath, rpath = str(root / "manifest.json"), str(root / "samples.bin")
-    manifest = datapipe.write_dataset([(cfg, generate_scenario(cfg, 2))], mpath, rpath, 2)
-    datapipe.split_dataset(manifest, 0.8, 2)
-    datapipe.save_manifest(manifest, mpath)
-    ds = datapipe.open_dataset(mpath)
-    datapipe.attach_norm_stats(manifest, ds)
-    datapipe.save_manifest(manifest, mpath)
-    return datapipe.open_dataset(mpath)
+    return datapipe.build_dataset([(cfg, generate_scenario(cfg, 2))], str(root), 2, 0.8)
 
 
 @pytest.mark.parametrize("modality", ["cir", "csi"])
@@ -320,8 +354,3 @@ def test_manifest_version_checked(tmp_path):
     json.dump(m, open(mpath, "w"))
     with pytest.raises(DataError, match="version"):
         datapipe.open_dataset(mpath)
-
-
-def test_import_stub_raises():
-    with pytest.raises(NotImplementedError):
-        datapipe.import_ray_dump("anything.mat")

@@ -109,8 +109,10 @@ def test_lr_zero_is_a_no_op(mini_dataset):
 
 
 def test_probe_freezes_encoder(mini_dataset, mini_checkpoint):
-    run = F.linear_probe(mini_checkpoint, mini_dataset, "los", 1,
-                         dataclasses.replace(FT, epochs=2))
+    run = F.init_finetune_run(mini_dataset, "los", "pretrained", 1,
+                              dataclasses.replace(FT, epochs=2),
+                              checkpoint_path=mini_checkpoint, freeze_encoder=True)
+    F.finetune(run, mini_dataset)
     pre_state, _ = P.load_pretrain_state(mini_checkpoint)
     for k, p in pre_state.csi_encoder.params.items():
         assert np.array_equal(run.encoder.params[k].data, p.data), k

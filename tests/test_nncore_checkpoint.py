@@ -1,11 +1,14 @@
 """Checkpoint container: bit-exact float32 round trips and corruption
 rejection."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from mimoclr.errors import DataError
-from mimoclr.nncore.checkpoint import load_checkpoint, save_checkpoint
+from mimoclr.nncore.checkpoint import atomic_write, load_checkpoint, save_checkpoint
 
 
 def test_round_trip_bit_identical(tmp_path):
@@ -74,3 +77,27 @@ def test_no_temp_file_left_behind(tmp_path):
     path = str(tmp_path / "x.ckpt")
     save_checkpoint(path, {}, {"w": np.zeros(1, np.float32)})
     assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
+
+
+def test_file_bytes_follow_the_documented_layout(tmp_path):
+    w = np.arange(6, dtype=np.float32).reshape(2, 3)
+    meta = {"epoch": 1}
+    path = str(tmp_path / "x.ckpt")
+    save_checkpoint(path, meta, {"w": w, "b": np.float32(0.5)})
+    header = json.dumps({"meta": meta, "tensors": [{"name": "w", "shape": [2, 3]},
+                                                   {"name": "b", "shape": []}]}).encode()
+    want = (b"MCLRCKPT" + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header
+            + w.astype("<f4").tobytes() + np.float32(0.5).astype("<f4").tobytes())
+    assert (tmp_path / "x.ckpt").read_bytes() == want
+
+
+def test_atomic_write_keeps_the_old_file_when_a_write_fails(tmp_path):
+    path = tmp_path / "a.json"
+    atomic_write(str(path), b"old")
+    assert path.read_bytes() == b"old"
+    with pytest.raises(TypeError):
+        atomic_write(str(path), None)  # fails inside the temp-file write
+    assert path.read_bytes() == b"old"
+    atomic_write(str(path), b"new")
+    assert path.read_bytes() == b"new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]

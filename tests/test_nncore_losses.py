@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from mimoclr.errors import ContractError
-from mimoclr.nncore.losses import (contrastive_loss, cosine_similarity,
-                                   cross_entropy_loss, mse_loss)
+from mimoclr.nncore.losses import contrastive_loss, cross_entropy_loss, mse_loss
 from mimoclr.nncore.tensor import Tensor
 
 
@@ -28,16 +27,6 @@ def contrastive_oracle(z, w, tau, symmetric=False):
     if symmetric:
         return 0.5 * (one_direction(cos) + one_direction(cos.T))
     return one_direction(cos)
-
-
-def test_cosine_similarity_basics():
-    assert cosine_similarity([1, 0], [0, 1]) == pytest.approx(0.0)
-    assert cosine_similarity([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
-    assert cosine_similarity([1, 0], [-1, 0]) == pytest.approx(-1.0)
-    with pytest.raises(ContractError):
-        cosine_similarity([0, 0], [1, 0])
-    with pytest.raises(ContractError):
-        cosine_similarity([1, 0], [1, 0, 0])
 
 
 def test_contrastive_matches_loop_oracle():

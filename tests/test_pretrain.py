@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ def test_retrieval_at_random_init_is_chance(mini_dataset):
 def test_retrieval_api_matches_direct_computation(mini_dataset):
     state = make_state()
     pairs = train_pairs(mini_dataset, 16)
-    got = P.retrieval_accuracy(state, pairs)
+    _, got = P.evaluate_pairs(state, pairs, 16)  # a single 16-pair batch
     z = P.encode_batch(state.csi_encoder, pairs.x_csi)
     w = P.encode_batch(state.cir_encoder, pairs.x_cir)
     zn = z / np.linalg.norm(z, axis=1, keepdims=True)
@@ -84,7 +85,7 @@ def test_single_pair_epoch_rejected(mini_dataset):
     with pytest.raises(ContractError):
         P.pretrain_epoch(state, pairs)
     with pytest.raises(ContractError):
-        P.retrieval_accuracy(state, pairs)
+        P.evaluate_pairs(state, pairs, 16)
 
 
 def test_embedding_spread():
@@ -97,18 +98,6 @@ def test_embedding_spread():
     z[0] = 0.0
     with pytest.raises(ContractError):
         P.embedding_spread(z)
-
-
-def test_early_stop_examples():
-    assert not P.early_stop_check([5.0, 4.0, 6.0, 6.0, 6.0], patience=3)
-    assert P.early_stop_check([5.0, 4.0, 6.0, 6.0, 6.0, 6.0], patience=3)
-    # flat history: first value opens the streak, so patience+1 entries stop
-    assert not P.early_stop_check([3.0, 3.0, 3.0], patience=3)
-    assert P.early_stop_check([3.0, 3.0, 3.0, 3.0], patience=3)
-    # strictly improving never stops
-    assert not P.early_stop_check(list(np.linspace(10, 1, 40)), patience=3)
-    with pytest.raises(ContractError):
-        P.early_stop_check([], patience=3)
 
 
 def test_epoch_metrics_and_tail_handling(mini_dataset):
@@ -217,6 +206,28 @@ def test_resume_reproduces_uninterrupted_run(mini_dataset, tmp_path):
         open(b_dir / "pretrain_metrics.jsonl").read()
     assert open(a_dir / "pretrain.ckpt", "rb").read() == \
         open(b_dir / "pretrain.ckpt", "rb").read()
+
+
+def test_failed_resume_write_keeps_metrics_history(mini_dataset, tmp_path, monkeypatch):
+    P.run_pretraining(mini_dataset, SMALL, str(tmp_path), max_epochs=2)
+    metrics = tmp_path / "pretrain_metrics.jsonl"
+    before = metrics.read_bytes()
+    assert len(before.splitlines()) == 2
+
+    def refuse(*args):
+        raise OSError("no space left on device")
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        f = open(path, mode, *args, **kwargs)
+        if os.fspath(path) == str(metrics) and mode != "r":
+            f.write = refuse
+        return f
+
+    # every write the pretrain module makes to the metrics file fails
+    monkeypatch.setattr(P, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        P.run_pretraining(mini_dataset, SMALL, str(tmp_path), resume=True, max_epochs=3)
+    assert metrics.read_bytes() == before
 
 
 def test_holdout_never_uses_validation_split(mini_dataset):

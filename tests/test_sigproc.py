@@ -6,7 +6,7 @@ import pytest
 
 from mimoclr.errors import ContractError, DegenerateDataError
 from mimoclr.sigproc import (NormStats, cir_to_csi, csi_to_cir, fit_norm_stats,
-                             normalize, shape_input, unshape_input)
+                             normalize, shape_input)
 
 
 def naive_dft(cir, n_sc):
@@ -65,6 +65,13 @@ def test_shape_input_layout():
             assert np.array_equal(x[0, pair, :n_taps], cir[r, t].real)
             assert np.array_equal(x[1, pair, :n_taps], cir[r, t].imag)
             assert np.all(x[:, pair, n_taps:] == 0)  # zero padding
+
+
+def unshape_input(x, n_rx, n_tx, bins):
+    """Inverse of shape_input on the unpadded region."""
+    assert x.shape[0] == 2 and x.shape[1] == n_rx * n_tx
+    flat = x[0, :, :bins] + 1j * x[1, :, :bins]
+    return flat.reshape(n_rx, n_tx, bins)
 
 
 def test_shape_unshape_round_trip():
