@@ -13,8 +13,7 @@ import tempfile
 
 from mimoclr.chanmodel import ScenarioConfig, generate_scenario
 from mimoclr.datapipe import build_dataset
-from mimoclr.finetune import (FinetuneConfig, evaluate, finetune, improvement_report,
-                              init_finetune_run)
+from mimoclr.finetune import FinetuneConfig, improvement_report, run_sweep
 from mimoclr.pretrain import PretrainConfig, run_pretraining
 
 # --- dataset ---------------------------------------------------------------
@@ -36,19 +35,13 @@ print()
 ft_cfg = FinetuneConfig(batch_size=16, lr=2e-3, epochs=20, label_budget=60,
                         head_hidden=32, widths=(8, 16, 32), embed_dim=64)
 task = "beam"
-scores = {}
-for init in ("pretrained", "scratch"):
-    per_seed = []
-    for seed in range(3):
-        run = init_finetune_run(
-            ds, task, init, seed, ft_cfg,
-            checkpoint_path=f"{tmp}/pre/pretrain.ckpt" if init == "pretrained" else None)
-        finetune(run, ds)
-        acc = evaluate(run, ds, ds.val_indices())
-        per_seed.append(acc)
-        print(f"{init:>10} seed {seed}: beam accuracy {acc:.3f} "
-              f"(best epoch {run.best_epoch}, chance 1/16)")
-    scores[init] = sorted(per_seed)[1]  # median of three
+runs = run_sweep(ds, task, ("pretrained", "scratch"), range(3), ft_cfg,
+                 f"{tmp}/pre/pretrain.ckpt")
+for r in runs:
+    print(f"{r['init']:>10} seed {r['seed']}: beam accuracy {r['val_metric']:.3f} "
+          f"(best epoch {r['best_epoch']}, chance 1/16)")
+scores = {init: sorted(r["val_metric"] for r in runs if r["init"] == init)[1]  # median of three
+          for init in ("pretrained", "scratch")}
 print()
 
 rep = improvement_report(scores["pretrained"], scores["scratch"], task)

@@ -18,8 +18,8 @@ from .errors import (ConfigError, ContractError, DataError, DegenerateDataError,
                      GenerationError, MimoclrError, TrainingDivergenceError)
 # NB: the finetune *function* stays under mimoclr.finetune so the submodule
 # name keeps pointing at the module
-from .finetune import (FinetuneConfig, FinetuneRun, TaskSpec, evaluate_classification,
-                       evaluate_positioning, improvement_report, init_finetune_run)
+from .finetune import (FinetuneConfig, FinetuneRun, TaskSpec, evaluate, improvement_report,
+                       init_finetune_run, run_sweep)
 from .pretrain import (PretrainConfig, PretrainState, init_pretrain_state, pretrain_epoch,
                        run_pretraining)
 from .sigproc import NormStats, cir_to_csi, csi_to_cir, fit_norm_stats, normalize, shape_input

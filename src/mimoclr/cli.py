@@ -16,6 +16,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import json
+import multiprocessing
 import os
 import sys
 
@@ -36,10 +37,6 @@ def _echo(command: str, payload: dict) -> None:
     text = yaml.safe_dump({"command": command, **payload}, sort_keys=False).rstrip()
     for line in text.splitlines():
         print(f"# {line}")
-
-
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=1) + "\n").encode("utf-8")
 
 
 def cmd_generate(args) -> int:
@@ -86,31 +83,10 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _finetune_one(payload: dict) -> dict:
-    """One (seed, init) fine-tuning run; safe to call in a worker process."""
-    dataset = datapipe.open_dataset(os.path.join(payload["data"], "manifest.json"))
-    fcfg = ft.FinetuneConfig.from_dict(payload["fcfg"])
-    init_mode = "pretrained" if payload["init"] == "probe" else payload["init"]
-    run = ft.init_finetune_run(dataset, payload["task"], init_mode, payload["seed"], fcfg,
-                               checkpoint_path=payload["checkpoint"],
-                               freeze_encoder=payload["init"] == "probe")
-    ft.finetune(run, dataset, payload["epochs"])
-    summary = ft.finetune_summary(run)
-    summary["init"] = payload["init"]
-
-    stem = f"{run.task.kind}_{payload['init']}_seed{payload['seed']}"
-    os.makedirs(payload["out"], exist_ok=True)
-    tensors = {f"encoder.{k}": p.data for k, p in run.encoder.params.items()}
-    tensors.update({f"head.{k}": p.data for k, p in run.head.params.items()})
-    if run.target_mean is not None:
-        tensors["target_mean"] = run.target_mean
-        tensors["target_std"] = run.target_std
-    ckpt.save_checkpoint(os.path.join(payload["out"], stem + ".ckpt"),
-                         {"kind": "finetune", **summary}, tensors)
-    art_path = os.path.join(payload["out"], stem + ".json")
-    ckpt.atomic_write(art_path, _json_bytes(summary))
-    summary["artifact"] = art_path
-    return summary
+def _sweep(data: str, *sweep_args) -> list:
+    """`finetune.run_sweep` over the dataset, opened once; runs in a worker too."""
+    dataset = datapipe.open_dataset(os.path.join(data, "manifest.json"))
+    return ft.run_sweep(dataset, *sweep_args)
 
 
 def cmd_finetune(args) -> int:
@@ -122,14 +98,16 @@ def cmd_finetune(args) -> int:
     _echo("finetune", {"data": args.data, "out": args.out, "task": args.task,
                        "init": args.init, "checkpoint": args.checkpoint, "seeds": seeds,
                        "finetune": dataclasses.asdict(fcfg)})
-    payloads = [{"data": args.data, "task": args.task, "init": args.init,
-                 "checkpoint": args.checkpoint, "seed": s, "out": args.out,
-                 "epochs": None, "fcfg": dataclasses.asdict(fcfg)} for s in seeds]
-    if args.jobs > 1 and len(payloads) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            summaries = list(pool.map(_finetune_one, payloads))
+    jobs = min(args.jobs, len(seeds))
+    if jobs > 1:
+        spawn = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+            parts = [pool.submit(_sweep, args.data, args.task, [args.init], seeds[i::jobs],
+                                 fcfg, args.checkpoint, args.out) for i in range(jobs)]
+            summaries = sorted((s for p in parts for s in p.result()), key=lambda s: s["seed"])
     else:
-        summaries = [_finetune_one(p) for p in payloads]
+        summaries = _sweep(args.data, args.task, [args.init], seeds, fcfg, args.checkpoint,
+                           args.out)
     for s in summaries:
         print(f"{s['task']} {s['init']} seed {s['seed']}: "
               f"{s['metric_name']} {s['val_metric']:.4f} "
@@ -212,7 +190,7 @@ def cmd_report(args) -> int:
     else:
         print("no artifacts to report")
     if args.json:
-        ckpt.atomic_write(args.json, _json_bytes(report))
+        ckpt.write_json(args.json, report)
         print(f"json report: {args.json}")
     return 0
 

@@ -16,12 +16,14 @@ Tasks:
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 
 from .datapipe import Dataset, load_batch
 from .errors import (ConfigError, ContractError, DataError, DegenerateDataError,
                      TrainingDivergenceError)
+from .nncore import checkpoint as ckpt
 from .nncore.layers import Encoder, EncoderConfig, Head, HeadConfig, prefixed
 from .nncore.losses import cross_entropy_loss, mse_loss
 from .nncore.optim import AdamW
@@ -94,18 +96,21 @@ class FinetuneConfig:
 @dataclasses.dataclass
 class FinetuneRun:
     task: TaskSpec
-    init_mode: str                 # "pretrained" | "scratch"
+    init_mode: str                 # "pretrained" | "scratch" | "probe"
     seed: int
     config: FinetuneConfig
     encoder: Encoder
     head: Head
-    freeze_encoder: bool = False
     target_mean: np.ndarray = None  # positioning label standardization
     target_std: np.ndarray = None
     best_epoch: int = -1
     best_val_loss: float = math.inf
     best_val_metric: float = None   # task metric of the selected epoch
     history: list = dataclasses.field(default_factory=list)
+
+    @property
+    def freeze_encoder(self) -> bool:
+        return self.init_mode == "probe"
 
     def parameters(self) -> dict:
         p = {} if self.freeze_encoder else prefixed(self.encoder.params, "encoder.")
@@ -114,10 +119,10 @@ class FinetuneRun:
 
 
 def init_finetune_run(dataset: Dataset, task_kind: str, init_mode: str, seed: int,
-                      config: FinetuneConfig, checkpoint_path=None,
-                      freeze_encoder: bool = False) -> FinetuneRun:
+                      config: FinetuneConfig, checkpoint_path=None) -> FinetuneRun:
     """Build a run; `pretrained` loads the frequency-view encoder from a
-    checkpoint (architecture must match the config), `scratch` draws a
+    checkpoint (architecture must match the config), `probe` loads it the
+    same way and freezes it so only the head trains, `scratch` draws a
     fresh seed-determined init of the identical architecture."""
     config = config.validated()
     task = make_task_spec(task_kind, dataset, config.coordinate_dim)
@@ -125,9 +130,9 @@ def init_finetune_run(dataset: Dataset, task_kind: str, init_mode: str, seed: in
     enc_cfg = EncoderConfig(in_height=p, in_width=dataset.n_subcarriers,
                             widths=config.widths, kernel_size=config.kernel_size,
                             embed_dim=config.embed_dim).validated()
-    if init_mode == "pretrained":
+    if init_mode in ("pretrained", "probe"):
         if checkpoint_path is None:
-            raise ConfigError("pretrained init needs a checkpoint path")
+            raise ConfigError(f"{init_mode} init needs a checkpoint path")
         pre_state, _ = load_pretrain_state(checkpoint_path)
         if pre_state.encoder_config != enc_cfg:
             raise ConfigError(
@@ -137,15 +142,16 @@ def init_finetune_run(dataset: Dataset, task_kind: str, init_mode: str, seed: in
     elif init_mode == "scratch":
         encoder = Encoder.init(enc_cfg, stream(seed, "finetune-encoder-init"))
     else:
-        raise ConfigError(f"init_mode must be 'pretrained' or 'scratch', got '{init_mode}'")
-    if freeze_encoder:
+        raise ConfigError(
+            f"init_mode must be 'pretrained', 'scratch' or 'probe', got '{init_mode}'")
+    if init_mode == "probe":
         for t in encoder.params.values():
             t.requires_grad = False
     head_cfg = HeadConfig(in_dim=config.embed_dim, hidden_dim=config.head_hidden,
                           out_dim=task.out_dim)
     head = Head.init(head_cfg, stream(seed, "finetune-head-init"))
     return FinetuneRun(task=task, init_mode=init_mode, seed=seed, config=config,
-                       encoder=encoder, head=head, freeze_encoder=freeze_encoder)
+                       encoder=encoder, head=head)
 
 
 def labeled_subset(dataset: Dataset, seed: int, budget: int) -> np.ndarray:
@@ -167,10 +173,6 @@ def _task_arrays(dataset: Dataset, indices, task: TaskSpec):
     if task.kind == "positioning":
         labels = labels[:, :task.out_dim]
     return x, labels
-
-
-def _standardize_targets(run: FinetuneRun, labels: np.ndarray) -> np.ndarray:
-    return (labels - run.target_mean) / run.target_std
 
 
 def _forward(run: FinetuneRun, x: np.ndarray) -> Tensor:
@@ -197,12 +199,12 @@ def _predict(run: FinetuneRun, x: np.ndarray, chunk: int = FORWARD_CHUNK) -> np.
         return np.concatenate(outs, axis=0)
 
 
-def _val_loss(run: FinetuneRun, x_val, y_val, pred=None) -> float:
-    if pred is None:
-        pred = _predict(run, x_val)
+def _val_loss(run: FinetuneRun, x_val, y_val) -> tuple:
+    """(validation loss, head outputs) of one forward-only pass."""
+    pred = _predict(run, x_val)
     if run.task.is_classification:
-        return float(cross_entropy_loss(Tensor(pred), y_val).data)
-    return float(np.mean(np.sum((pred - y_val) ** 2, axis=1)))
+        return float(cross_entropy_loss(Tensor(pred), y_val).data), pred
+    return float(np.mean(np.sum((pred - y_val) ** 2, axis=1))), pred
 
 
 def _metric(run: FinetuneRun, pred: np.ndarray, labels: np.ndarray) -> float:
@@ -215,7 +217,7 @@ def _metric(run: FinetuneRun, pred: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.linalg.norm(pred - labels, axis=1)))
 
 
-def finetune(run: FinetuneRun, dataset: Dataset, epochs=None) -> FinetuneRun:
+def finetune(run: FinetuneRun, dataset: Dataset) -> FinetuneRun:
     """Train on the seeded labeled subset, validate each epoch on the full
     validation split, and finish holding the best-validation parameters
     (never the final epoch's) and, in `best_val_metric`, their task metric
@@ -227,7 +229,6 @@ def finetune(run: FinetuneRun, dataset: Dataset, epochs=None) -> FinetuneRun:
     TrainingDivergenceError.
     """
     cfg = run.config
-    n_epochs = cfg.epochs if epochs is None else int(epochs)
     train_idx = labeled_subset(dataset, run.seed, cfg.label_budget)
     x_train, y_train = _task_arrays(dataset, train_idx, run.task)
     x_val, y_val = _task_arrays(dataset, dataset.val_indices(), run.task)
@@ -239,8 +240,7 @@ def finetune(run: FinetuneRun, dataset: Dataset, epochs=None) -> FinetuneRun:
             raise DegenerateDataError(
                 f"positioning targets are constant along axis {np.nonzero(std == 0)[0]}")
         run.target_mean, run.target_std = mean, std
-        y_train_t = _standardize_targets(run, y_train)
-        y_val_t = _standardize_targets(run, y_val)
+        y_train_t, y_val_t = (y_train - mean) / std, (y_val - mean) / std
     else:
         y_train_t, y_val_t = y_train, y_val
 
@@ -248,7 +248,7 @@ def finetune(run: FinetuneRun, dataset: Dataset, epochs=None) -> FinetuneRun:
     z_train = encode_batch(run.encoder, x_train) if run.freeze_encoder else None
 
     best_params = None
-    for _ in range(n_epochs):
+    for _ in range(cfg.epochs):
         epoch = len(run.history)
         perm = stream(run.seed, "finetune-shuffle", epoch).permutation(len(train_idx))
         loss_sum = 0.0
@@ -263,8 +263,7 @@ def finetune(run: FinetuneRun, dataset: Dataset, epochs=None) -> FinetuneRun:
             loss.backward()
             opt.step()
             loss_sum += float(loss.data) * idx.size
-        pred = _predict(run, x_val)
-        val_loss = _val_loss(run, x_val, y_val_t, pred=pred)
+        val_loss, pred = _val_loss(run, x_val, y_val_t)
         if not math.isfinite(val_loss):
             raise TrainingDivergenceError(
                 f"non-finite validation loss {val_loss} at epoch {epoch + 1}")
@@ -281,28 +280,12 @@ def finetune(run: FinetuneRun, dataset: Dataset, epochs=None) -> FinetuneRun:
     return run
 
 
-def evaluate_positioning(run: FinetuneRun, dataset: Dataset, indices) -> float:
-    """Mean Euclidean error in meters over the given records."""
-    if run.task.kind != "positioning":
-        raise ContractError(f"run is a {run.task.kind} run, not positioning")
-    if run.target_mean is None:
+def evaluate(run: FinetuneRun, dataset: Dataset, indices) -> float:
+    """The run's task metric over the given records (see `_metric`)."""
+    if not run.task.is_classification and run.target_mean is None:
         raise ContractError("run has no target statistics; train it first")
     x, y = _task_arrays(dataset, indices, run.task)
     return _metric(run, _predict(run, x), y)
-
-
-def evaluate_classification(run: FinetuneRun, dataset: Dataset, indices) -> float:
-    """Top-1 accuracy; argmax ties resolve to the lowest class index."""
-    if not run.task.is_classification:
-        raise ContractError(f"run is a {run.task.kind} run, not classification")
-    x, y = _task_arrays(dataset, indices, run.task)
-    return _metric(run, _predict(run, x), y)
-
-
-def evaluate(run: FinetuneRun, dataset: Dataset, indices) -> float:
-    if run.task.is_classification:
-        return evaluate_classification(run, dataset, indices)
-    return evaluate_positioning(run, dataset, indices)
 
 
 def improvement_report(pretrained_metric: float, scratch_metric: float, task_kind: str) -> dict:
@@ -345,3 +328,30 @@ def finetune_summary(run: FinetuneRun) -> dict:
         "epochs_run": len(run.history),
         "config": dataclasses.asdict(run.config),
     }
+
+
+def run_sweep(dataset: Dataset, task_kind: str, inits, seeds, config: FinetuneConfig,
+              checkpoint_path=None, out_dir=None) -> list:
+    """Fine-tune one run per (seed, init mode), seed-major, and return their
+    summaries.  With `out_dir`, each run also writes its weights (and
+    positioning target statistics) to `<task>_<init>_seed<s>.ckpt` and its
+    summary to `.json`, whose path the summary then holds as "artifact"."""
+    summaries = []
+    for seed in seeds:
+        for init_mode in inits:
+            run = init_finetune_run(dataset, task_kind, init_mode, seed, config,
+                                    checkpoint_path)
+            finetune(run, dataset)
+            summary = finetune_summary(run)
+            if out_dir is not None:
+                stem = os.path.join(out_dir, f"{run.task.kind}_{init_mode}_seed{seed}")
+                os.makedirs(out_dir, exist_ok=True)
+                tensors = {f"encoder.{k}": p.data for k, p in run.encoder.params.items()}
+                tensors.update({f"head.{k}": p.data for k, p in run.head.params.items()})
+                if run.target_mean is not None:
+                    tensors.update(target_mean=run.target_mean, target_std=run.target_std)
+                ckpt.save_checkpoint(stem + ".ckpt", summary, tensors)
+                ckpt.write_json(stem + ".json", summary)
+                summary["artifact"] = stem + ".json"
+            summaries.append(summary)
+    return summaries

@@ -28,6 +28,11 @@ def atomic_write(path: str, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+def write_json(path: str, obj) -> None:
+    """Atomically write `obj` as indented JSON ending in a newline."""
+    atomic_write(path, (json.dumps(obj, indent=1) + "\n").encode("utf-8"))
+
+
 def save_checkpoint(path: str, meta: dict, tensors: dict) -> None:
     """Write atomically (see atomic_write)."""
     entries = []

@@ -18,7 +18,7 @@ import os
 import numpy as np
 
 from .datapipe import Dataset, load_batch
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DataError
 from .nncore import checkpoint as ckpt
 from .nncore import tensor as T
 from .nncore.layers import Encoder, EncoderConfig, prefixed
@@ -261,7 +261,7 @@ def _inner_split(dataset: Dataset, config: PretrainConfig):
     return fit, hold
 
 
-def save_pretrain_checkpoint(state: PretrainState, path: str, extra_meta=None) -> None:
+def save_pretrain_checkpoint(state: PretrainState, path: str) -> None:
     meta = {
         "kind": "pretrain",
         "config": dataclasses.asdict(state.config),
@@ -274,8 +274,6 @@ def save_pretrain_checkpoint(state: PretrainState, path: str, extra_meta=None) -
         "val_history": list(state.val_history),
         "rng": {"scheme": "counter-based", "seed": state.config.seed},
     }
-    if extra_meta:
-        meta.update(extra_meta)
     tensors = {k: p.data for k, p in state.parameters().items()}
     tensors.update(state.optimizer.state_arrays())
     ckpt.save_checkpoint(path, meta, tensors)
@@ -313,7 +311,9 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
     resume=True training continues from the checkpoint and reproduces the
     exact trace an uninterrupted run would have produced.  A resume must
     pass the config the checkpoint was trained with (ConfigError otherwise);
-    only the max_epochs argument may differ.
+    only the max_epochs argument may differ.  A last metrics row torn by a
+    crash during its append is dropped; any other unreadable row raises
+    DataError.
     """
     config = config.validated()
     os.makedirs(out_dir, exist_ok=True)
@@ -332,9 +332,15 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
                 f"in {changed}")
         if os.path.exists(metrics_path):
             with open(metrics_path, "r", encoding="utf-8") as f:
-                for line in f:
-                    if line.strip() and json.loads(line)["epoch"] <= state.epoch:
-                        kept_lines.append(line.rstrip("\n") + "\n")
+                lines = [line.rstrip("\n") + "\n" for line in f if line.strip()]
+            for i, line in enumerate(lines):
+                try:
+                    if json.loads(line)["epoch"] <= state.epoch:
+                        kept_lines.append(line)
+                except (ValueError, KeyError, TypeError) as e:
+                    if i < len(lines) - 1:  # a torn last row is beyond the checkpoint
+                        raise DataError(
+                            f"{metrics_path} line {i + 1} is not a metrics row: {e}") from e
     else:
         p = dataset.n_rx * dataset.n_tx
         state = init_pretrain_state(config, p, dataset.n_subcarriers)

@@ -244,16 +244,11 @@ def test_low_label_trend(desk_dataset, desk_pretrained):
     fcfg = finetune_config(load_config("desk"), label_budget=200, epochs=25)
     results = {}
     for task in ("positioning", "beam", "los"):
-        per_init = {"pretrained": [], "scratch": []}
-        for seed in range(5):
-            for init in ("pretrained", "scratch"):
-                run = ft.init_finetune_run(
-                    desk_dataset, task, init, seed, fcfg,
-                    checkpoint_path=ckpt_path if init == "pretrained" else None)
-                ft.finetune(run, desk_dataset)
-                per_init[init].append(
-                    ft.evaluate(run, desk_dataset, desk_dataset.val_indices()))
-        results[task] = {k: float(np.median(v)) for k, v in per_init.items()}
+        runs = ft.run_sweep(desk_dataset, task, ("pretrained", "scratch"), range(5), fcfg,
+                            ckpt_path)
+        results[task] = {init: float(np.median([r["val_metric"] for r in runs
+                                                if r["init"] == init]))
+                         for init in ("pretrained", "scratch")}
     wall = time.monotonic() - t0
 
     assert results["positioning"]["pretrained"] <= results["positioning"]["scratch"]

@@ -6,7 +6,7 @@ import shutil
 import pytest
 import yaml
 
-from mimoclr import finetune as ft, pretrain as pt
+from mimoclr import datapipe, finetune as ft, pretrain as pt
 from mimoclr.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, main
 
 CONFIG = {
@@ -120,6 +120,35 @@ def test_pretrain_resume_matches_straight_run(work, capsys):
         open(out_dir / "pretrain.ckpt", "rb").read()
 
 
+def test_pretrain_resume_drops_a_torn_last_row(work, tmp_path, capsys):
+    out_dir = tmp_path / "pre_torn"
+    assert main(["pretrain", work["data"], "--config", work["config"],
+                 "--out", str(out_dir), "--epochs", "2"]) == 0
+    with open(out_dir / "pretrain_metrics.jsonl", "a") as f:
+        f.write('{"epoch": 3, "train_lo')
+    assert main(["pretrain", work["data"], "--config", work["config"],
+                 "--out", str(out_dir), "--resume"]) == 0
+    capsys.readouterr()
+    assert open(out_dir / "pretrain_metrics.jsonl").read() == \
+        open(work["pre"] + "/pretrain_metrics.jsonl").read()
+    assert open(out_dir / "pretrain.ckpt", "rb").read() == \
+        open(work["pre"] + "/pretrain.ckpt", "rb").read()
+
+
+def test_pretrain_resume_with_a_corrupt_row_exits_data(work, tmp_path, capsys):
+    out_dir = tmp_path / "pre_corrupt"
+    shutil.copytree(work["pre"], out_dir)
+    metrics = out_dir / "pretrain_metrics.jsonl"
+    lines = metrics.read_text().splitlines(keepends=True)
+    lines[1] = '{"epoch": 2, "train_lo\n'
+    metrics.write_text("".join(lines))
+    rc = main(["pretrain", work["data"], "--config", work["config"],
+               "--out", str(out_dir), "--resume"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA and "line 2" in err
+    assert metrics.read_text() == "".join(lines)
+
+
 def test_pretrain_resume_with_changed_seed_exits_config(work, tmp_path, capsys):
     out_dir = tmp_path / "pre_copy"
     shutil.copytree(work["pre"], out_dir)
@@ -150,6 +179,38 @@ def test_finetune_writes_paired_artifacts(work, capsys):
             assert art["init"] == init and art["seed"] == seed
             assert art["epochs_run"] == 2
             assert (out / f"channel_identification_{init}_seed{seed}.ckpt").exists()
+
+
+def test_finetune_opens_the_dataset_once(work, monkeypatch, capsys):
+    opened = []
+    original = datapipe.open_dataset
+
+    def counting(path):
+        opened.append(path)
+        return original(path)
+
+    monkeypatch.setattr(datapipe, "open_dataset", counting)
+    rc = main(["finetune", work["data"], "--config", work["config"], "--task", "los",
+               "--init", "scratch", "--seeds", "3", "--jobs", "1", "--epochs", "1",
+               "--out", str(work["root"] / "ft_once")])
+    capsys.readouterr()
+    assert rc == 0 and len(opened) == 1
+
+
+def test_finetune_jobs_write_the_same_bytes(work, capsys):
+    outs = {}
+    for jobs in ("1", "2"):
+        out = work["root"] / f"ft_jobs{jobs}"
+        assert main(["finetune", work["data"], "--config", work["config"], "--task", "pos",
+                     "--init", "pretrained", "--checkpoint", work["ckpt"], "--seeds", "2",
+                     "--jobs", jobs, "--out", str(out)]) == 0
+        outs[jobs] = ({p.name: p.read_bytes() for p in out.iterdir()},
+                      capsys.readouterr().out.replace(str(out), "<out>"))
+    assert sorted(outs["1"][0]) == ["positioning_pretrained_seed0.ckpt",
+                                    "positioning_pretrained_seed0.json",
+                                    "positioning_pretrained_seed1.ckpt",
+                                    "positioning_pretrained_seed1.json"]
+    assert outs["2"] == outs["1"]
 
 
 def test_finetune_probe_artifact(work, capsys):
@@ -235,7 +296,7 @@ def test_pretrain_nan_validation_loss_exits_diverged(work, monkeypatch, capsys):
 
 
 def test_finetune_nan_validation_loss_exits_diverged(work, monkeypatch, capsys):
-    monkeypatch.setattr(ft, "_val_loss", lambda *a, **k: float("nan"))
+    monkeypatch.setattr(ft, "_val_loss", lambda *a, **k: (float("nan"), None))
     rc = main(["finetune", work["data"], "--config", work["config"],
                "--out", str(work["root"] / "ft_nan"), "--task", "los",
                "--init", "scratch"])

@@ -76,6 +76,8 @@ def test_architecture_mismatch_rejected(mini_dataset, mini_checkpoint):
                             checkpoint_path=mini_checkpoint)
     with pytest.raises(ConfigError):
         F.init_finetune_run(mini_dataset, "beam", "pretrained", 0, FT)  # no ckpt
+    with pytest.raises(ConfigError, match="probe init needs a checkpoint"):
+        F.init_finetune_run(mini_dataset, "beam", "probe", 0, FT)
     with pytest.raises(ConfigError):
         F.init_finetune_run(mini_dataset, "beam", "warmstart", 0, FT)
 
@@ -109,9 +111,9 @@ def test_lr_zero_is_a_no_op(mini_dataset):
 
 
 def test_probe_freezes_encoder(mini_dataset, mini_checkpoint):
-    run = F.init_finetune_run(mini_dataset, "los", "pretrained", 1,
+    run = F.init_finetune_run(mini_dataset, "los", "probe", 1,
                               dataclasses.replace(FT, epochs=2),
-                              checkpoint_path=mini_checkpoint, freeze_encoder=True)
+                              checkpoint_path=mini_checkpoint)
     F.finetune(run, mini_dataset)
     pre_state, _ = P.load_pretrain_state(mini_checkpoint)
     for k, p in pre_state.csi_encoder.params.items():
@@ -154,7 +156,7 @@ def test_positioning_metric_against_loop(mini_dataset):
     run.target_mean = y.mean(axis=0)
     run.target_std = np.ones(2)
     zeroed_head(run)  # forces every prediction to the centroid
-    got = F.evaluate_positioning(run, mini_dataset, idx)
+    got = F.evaluate(run, mini_dataset, idx)
     want = np.mean([np.sqrt(((y[i] - y.mean(axis=0)) ** 2).sum()) for i in range(len(y))])
     assert got == pytest.approx(want, rel=1e-6)
 
@@ -162,12 +164,7 @@ def test_positioning_metric_against_loop(mini_dataset):
 def test_positioning_metric_requires_training(mini_dataset):
     run = F.init_finetune_run(mini_dataset, "pos", "scratch", 0, FT)
     with pytest.raises(ContractError, match="statistics"):
-        F.evaluate_positioning(run, mini_dataset, [0, 1])
-    clf = F.init_finetune_run(mini_dataset, "beam", "scratch", 0, FT)
-    with pytest.raises(ContractError):
-        F.evaluate_positioning(clf, mini_dataset, [0, 1])
-    with pytest.raises(ContractError):
-        F.evaluate_classification(run, mini_dataset, [0, 1])
+        F.evaluate(run, mini_dataset, [0, 1])
 
 
 def test_classification_metric_hand_count(mini_dataset):
@@ -175,7 +172,7 @@ def test_classification_metric_hand_count(mini_dataset):
     idx = mini_dataset.val_indices()
     _, y = F._task_arrays(mini_dataset, idx, run.task)
     # all-equal logits argmax to class 0 (lowest index wins ties)
-    assert F.evaluate_classification(run, mini_dataset, idx) == np.mean(y == 0)
+    assert F.evaluate(run, mini_dataset, idx) == np.mean(y == 0)
 
 
 def test_finetune_learns_beam_task(mini_dataset):
@@ -196,7 +193,7 @@ def test_best_epoch_restoration(mini_dataset):
     assert run.best_epoch == int(np.argmin(losses)) + 1
     # held parameters reproduce the best validation loss, not the last one
     x, y = F._task_arrays(mini_dataset, mini_dataset.val_indices(), run.task)
-    assert F._val_loss(run, x, y) == pytest.approx(min(losses), rel=1e-6)
+    assert F._val_loss(run, x, y)[0] == pytest.approx(min(losses), rel=1e-6)
 
 
 def test_same_seed_same_run(mini_dataset):
@@ -225,8 +222,8 @@ def test_summary_structure(mini_dataset):
 
 @pytest.mark.parametrize("frozen", [False, True])
 def test_predict_matches_taped_forward_and_leaves_grads(mini_dataset, mini_checkpoint, frozen):
-    run = F.init_finetune_run(mini_dataset, "beam", "pretrained", 5, FT,
-                              checkpoint_path=mini_checkpoint, freeze_encoder=frozen)
+    run = F.init_finetune_run(mini_dataset, "beam", "probe" if frozen else "pretrained", 5, FT,
+                              checkpoint_path=mini_checkpoint)
     x, _ = F._task_arrays(mini_dataset, mini_dataset.val_indices()[:40], run.task)
     every = {**prefixed(run.encoder.params, "encoder."), **prefixed(run.head.params, "head.")}
     marker = {k: np.full_like(p.data, 7.0) for k, p in every.items()}
@@ -240,8 +237,8 @@ def test_predict_matches_taped_forward_and_leaves_grads(mini_dataset, mini_check
 
 @pytest.mark.parametrize("frozen", [False, True])
 def test_predict_is_chunk_invariant(mini_dataset, mini_checkpoint, frozen):
-    run = F.init_finetune_run(mini_dataset, "pos", "pretrained", 5, FT,
-                              checkpoint_path=mini_checkpoint, freeze_encoder=frozen)
+    run = F.init_finetune_run(mini_dataset, "pos", "probe" if frozen else "pretrained", 5, FT,
+                              checkpoint_path=mini_checkpoint)
     x, _ = F._task_arrays(mini_dataset, np.arange(260) % mini_dataset.n_records, run.task)
     want = F._predict(run, x, chunk=256)
     for chunk in (1, 63, 64):
@@ -253,9 +250,8 @@ def test_predict_is_chunk_invariant(mini_dataset, mini_checkpoint, frozen):
 @pytest.mark.parametrize("init", ["scratch", "pretrained", "probe"])
 def test_summary_metric_equals_fresh_evaluate(mini_dataset, mini_checkpoint, task, init):
     cfg = dataclasses.replace(FT, epochs=3)
-    mode = "scratch" if init == "scratch" else "pretrained"
-    run = F.init_finetune_run(mini_dataset, task, mode, 4, cfg,
-                              checkpoint_path=mini_checkpoint, freeze_encoder=init == "probe")
+    run = F.init_finetune_run(mini_dataset, task, init, 4, cfg,
+                              checkpoint_path=mini_checkpoint)
     F.finetune(run, mini_dataset)
     want = F.evaluate(run, mini_dataset, mini_dataset.val_indices())
     assert F.finetune_summary(run)["val_metric"] == want
@@ -271,7 +267,31 @@ def test_summary_metric_is_the_selected_epochs(mini_dataset):
 
 
 def test_summary_needs_a_selected_epoch(mini_dataset):
-    run = F.finetune(F.init_finetune_run(mini_dataset, "beam", "scratch", 0, FT),
-                     mini_dataset, epochs=0)
+    run = F.init_finetune_run(mini_dataset, "beam", "scratch", 0, FT)
     with pytest.raises(ContractError, match="epoch"):
         F.finetune_summary(run)
+
+
+def loop_oracle(dataset, task, inits, seeds, config, checkpoint_path):
+    """The per-run loop `run_sweep` replaces, scored by a fresh `evaluate`."""
+    out = []
+    for seed in seeds:
+        for init in inits:
+            run = F.init_finetune_run(dataset, task, init, seed, config,
+                                      checkpoint_path=checkpoint_path)
+            F.finetune(run, dataset)
+            out.append({"init": run.init_mode, "seed": seed, "best_epoch": run.best_epoch,
+                        "best_val_loss": run.best_val_loss,
+                        "val_metric": F.evaluate(run, dataset, dataset.val_indices())})
+    return out
+
+
+@pytest.mark.parametrize("task", ["pos", "beam", "los"])
+def test_run_sweep_matches_per_run_loop(mini_dataset, mini_checkpoint, task):
+    cfg = dataclasses.replace(FT, epochs=2, label_budget=40)
+    inits = ("pretrained", "scratch", "probe")
+    got = F.run_sweep(mini_dataset, task, inits, range(2), cfg, mini_checkpoint)
+    want = loop_oracle(mini_dataset, task, inits, range(2), cfg, mini_checkpoint)
+    assert [{k: s[k] for k in want[0]} for s in got] == want
+    assert [s["frozen_encoder"] for s in got] == [i == "probe" for i in inits] * 2
+    assert all("artifact" not in s for s in got)
