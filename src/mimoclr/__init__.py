@@ -5,10 +5,11 @@ Layers, bottom to top: chanmodel (geometric multipath synthesis), sigproc
 (Fourier duality, input shaping, normalization), nncore (autodiff, encoder,
 losses, AdamW, checkpoints), datapipe (binary records + manifest),
 pretrain (dual-encoder contrastive training), finetune (downstream tasks
-and the pretrained-vs-scratch comparison), cli (operator commands).
+and the pretrained-vs-scratch comparison), cli (operator commands; not
+imported here, so `python -m mimoclr.cli` runs it only once).
 """
 
-from . import chanmodel, cli, config, datapipe, finetune, nncore, pretrain, sigproc
+from . import chanmodel, config, datapipe, finetune, nncore, pretrain, sigproc
 from .chanmodel import (ArrayGeometry, ChannelSample, Codebook, PathParams,
                         ScenarioConfig, beam_powers, build_codebook, generate_scenario,
                         optimal_beam, steering_vector, synthesize_cir, synthesize_csi)

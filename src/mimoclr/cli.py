@@ -7,15 +7,18 @@
                       --labels 200 --seeds 5 --out runs/ft
     mimoclr report    runs/ft/*.json
 
-Every command prints an effective-config echo; re-running with the echoed
-config and seed reproduces outputs bit-identically.  Exit codes: 0 success,
-2 configuration problems, 3 data problems, 4 training divergence.
+`mimoclr -v <command> ...` also logs progress (early stops, dropped tail
+batches) to stderr.  Every command prints an effective-config echo;
+re-running with the echoed config and seed reproduces outputs
+bit-identically.  Exit codes: 0 success, 2 configuration problems, 3 data
+problems, 4 training divergence.
 """
 
 import argparse
 import concurrent.futures
 import dataclasses
 import json
+import logging
 import multiprocessing
 import os
 import sys
@@ -200,6 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mimoclr",
         description="Synthetic MIMO channel workbench: dataset generation, "
                     "contrastive CSI/CIR pretraining, and downstream evaluation.")
+    p.add_argument("-v", "--verbose", action="store_true",
+                   help="log progress at INFO level to stderr")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="synthesize a dataset from a scenario config")
@@ -243,6 +248,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if not args.verbose:
+        return _run(args)
+    log = logging.getLogger("mimoclr")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        return _run(args)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
+def _run(args) -> int:
     try:
         return args.fn(args)
     except ConfigError as e:

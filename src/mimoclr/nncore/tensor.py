@@ -36,10 +36,18 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.grad is not None})"
 
-    def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+    def _accumulate(self, g, owned=False):
+        """Add `g` into .grad.  The first write is `g + 0`, which maps -0.0
+        to +0.0 exactly as zeros + g does.  `owned` says the calling op
+        allocated `g` for this call and keeps no other reference to it; a
+        `g` laid out like .data is then normalised in place and kept."""
+        if self.grad is not None:
+            self.grad += g
+        elif (owned and g.dtype == self.data.dtype and g.shape == self.data.shape
+              and g.flags.c_contiguous and self.data.flags.c_contiguous):
+            self.grad = np.add(g, 0, out=g)
+        else:
+            self.grad = np.add(g, 0, out=np.empty_like(self.data))
 
     def backward(self):
         """Backpropagate from a scalar."""
@@ -220,7 +228,7 @@ def relu(a: Tensor):
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * mask)
+            a._accumulate(g * mask, owned=True)
 
     return _make(a.data * mask, (a,), backward)
 
@@ -312,40 +320,74 @@ def gather_rows(a: Tensor, idx: np.ndarray):
     return _make(a.data[rows, idx], (a,), backward)
 
 
+def _im2col_slabs(h, wd, kh, kw):
+    """Per kernel offset (i, j), row-major: the flat shift s that maps
+    output position p to input position p + s in an unpadded H*W plane,
+    the range [lo, hi) of p for which p + s lies in the plane, and the
+    output columns whose horizontal shift wraps onto a neighbouring row.
+    Outside [lo, hi) and in the wrapped columns the 'same'-padded input
+    is zero."""
+    hw = h * wd
+    ph, pw = kh // 2, kw // 2
+    slabs = []
+    for i in range(kh):
+        for j in range(kw):
+            dj = j - pw
+            s = (i - ph) * wd + dj
+            lo = max(0, -s)
+            hi = max(lo, min(hw, hw - s))
+            wrap = slice(max(wd - dj, 0), wd) if dj > 0 else slice(0, min(-dj, wd))
+            slabs.append((i, j, s, lo, hi, wrap))
+    return slabs
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor):
     """2-D convolution, NCHW layout, stride 1, zero 'same' padding.
 
     x: [N, C, H, W], w: [F, C, kh, kw] (odd kernel), b: [F].
+
+    im2col (Chellapilla et al. 2006) without a padded copy: each kernel
+    offset's column slab is one shifted copy of the flat [N, C, H*W] input,
+    with the cells that fall in the padding zeroed.
     """
     n, c, h, wd = x.shape
     f, c2, kh, kw = w.shape
     if c2 != c:
         raise ContractError(f"conv weight expects {c2} input channels, got {c}")
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = np.empty((n, c, kh, kw, h, wd), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + h, j:j + wd]
-    cols2 = cols.reshape(n, c * kh * kw, h * wd)
+    hw = h * wd
+    slabs = _im2col_slabs(h, wd, kh, kw)
+    xf = x.data.reshape(n, c, hw)
+    cols = np.empty((n, c, kh, kw, hw), dtype=x.dtype)
+    cols6 = cols.reshape(n, c, kh, kw, h, wd)
+    for i, j, s, lo, hi, wrap in slabs:
+        slab = cols[:, :, i, j]
+        slab[..., :lo] = 0
+        slab[..., lo:hi] = xf[..., lo + s:hi + s]
+        slab[..., hi:] = 0
+        cols6[:, :, i, j, :, wrap] = 0
+    cols2 = cols.reshape(n, c * kh * kw, hw)
     w2 = w.data.reshape(f, c * kh * kw)
     out = np.matmul(w2, cols2).reshape(n, f, h, wd)
     out += b.data[None, :, None, None]
 
     def backward(g):
-        gl = g.reshape(n, f, h * wd)
+        gl = g.reshape(n, f, hw)
         if b.requires_grad:
-            b._accumulate(g.sum(axis=(0, 2, 3)))
+            b._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
         if w.requires_grad:
             dw = np.matmul(gl, cols2.transpose(0, 2, 1)).sum(axis=0)
-            w._accumulate(dw.reshape(w.shape))
+            w._accumulate(dw.reshape(w.shape), owned=True)
         if x.requires_grad:
-            dcols = np.matmul(w2.T, gl).reshape(n, c, kh, kw, h, wd)
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i:i + h, j:j + wd] += dcols[:, :, i, j]
-            x._accumulate(dxp[:, :, ph:ph + h, pw:pw + wd])
+            # col2im: add each slab back at its shift, in the same (i, j)
+            # order as a padded scatter.  Wrapped cells are zeroed first;
+            # their +0 is exact, since a sum that starts at +0 is never -0.
+            dcols = np.matmul(w2.T, gl).reshape(n, c, kh, kw, hw)
+            dcols6 = dcols.reshape(n, c, kh, kw, h, wd)
+            dx = np.zeros((n, c, hw), dtype=x.dtype)
+            for i, j, s, lo, hi, wrap in slabs:
+                dcols6[:, :, i, j, :, wrap] = 0
+                dx[..., lo + s:hi + s] += dcols[:, :, i, j, lo:hi]
+            x._accumulate(dx.reshape(x.shape), owned=True)
 
     return _make(out, (x, w, b), backward)
 
@@ -371,7 +413,7 @@ def avg_pool2d(x: Tensor):
             up[:, :, 0::2, 1::2] = q
             up[:, :, 1::2, 0::2] = q
             up[:, :, 1::2, 1::2] = q
-            x._accumulate(up)
+            x._accumulate(up, owned=True)
 
     return _make(out, (x,), backward)
 

@@ -26,13 +26,18 @@ def _build(tmpdir, cfgs, seed, fraction, cap=None):
 
 
 @pytest.fixture(scope="session")
-def mini_dataset(tmp_path_factory):
+def mini_root(tmp_path_factory):
+    """The directory `mini_dataset` is written to."""
+    return tmp_path_factory.mktemp("mini")
+
+
+@pytest.fixture(scope="session")
+def mini_dataset(mini_root):
     """Two tiny scenarios, 120 samples total, desk geometry."""
-    root = tmp_path_factory.mktemp("mini")
     cfgs = [ScenarioConfig(scenario_id=0, n_ue=60),
             ScenarioConfig(scenario_id=1, n_ue=60, cell_radius=100.0,
                            blockage_prob=0.25)]
-    return _build(root, cfgs, seed=11, fraction=0.8)
+    return _build(mini_root, cfgs, seed=11, fraction=0.8)
 
 
 @pytest.fixture(scope="session")

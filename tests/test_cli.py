@@ -1,11 +1,15 @@
 """End-to-end command flows: generate -> pretrain -> finetune -> report."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 import yaml
 
+import mimoclr
 from mimoclr import datapipe, finetune as ft, pretrain as pt
 from mimoclr.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, main
 
@@ -302,3 +306,35 @@ def test_finetune_nan_validation_loss_exits_diverged(work, monkeypatch, capsys):
                "--init", "scratch"])
     err = capsys.readouterr().err
     assert rc == EXIT_DIVERGED and "validation loss" in err
+
+
+@pytest.mark.parametrize("module", ["mimoclr", "mimoclr.cli"])
+def test_python_dash_m_runs_the_cli_once(module):
+    src = os.path.dirname(os.path.dirname(mimoclr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stdout.startswith("usage: mimoclr")
+
+
+def test_verbose_flag_logs_the_dropped_tail_batch(mini_root, mini_dataset, tmp_path, capsys):
+    pcfg = {"seed": 0, "lr": 2e-3, "max_epochs": 1, "widths": [4, 8, 16], "embed_dim": 8}
+    n_fit = pt._inner_split(mini_dataset, pt.PretrainConfig.from_dict(pcfg))[0].size
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text(yaml.safe_dump({"pretrain": {**pcfg, "batch_size": n_fit - 1}}))
+    runs = {}
+    for flags in ([], ["-v"]):
+        out = tmp_path / ("v" if flags else "quiet")
+        rc = main([*flags, "pretrain", str(mini_root), "--config", str(cfg_path),
+                   "--out", str(out)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        runs[bool(flags)] = (captured.out.replace(str(out), "<out>"), captured.err,
+                             (out / "pretrain_metrics.jsonl").read_bytes(),
+                             (out / "pretrain.ckpt").read_bytes())
+    assert runs[False][1] == ""
+    assert "INFO mimoclr.pretrain: dropping size-1 tail batch at epoch 0" in runs[True][1]
+    assert runs[True][0] == runs[False][0]
+    assert runs[True][2:] == runs[False][2:]

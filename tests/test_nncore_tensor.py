@@ -8,6 +8,7 @@ import pytest
 from mimoclr.errors import ContractError
 from mimoclr.nncore import tensor as T
 from mimoclr.nncore.layers import Encoder, EncoderConfig
+from mimoclr.nncore.optim import gradient_check
 from mimoclr.nncore.tensor import Tensor
 
 
@@ -320,3 +321,212 @@ def test_matmul_row_does_not_depend_on_row_count(dtype):
     full = T.matmul(Tensor(h), w).data
     for row in (0, 64):
         assert np.array_equal(T.matmul(Tensor(h[row:row + 1]), w).data, full[row:row + 1])
+
+
+def _conv2d_oracle(x, w, b, g):
+    """The padded conv2d: np.pad, one im2col copy per kernel offset, a
+    col2im scatter into the padded buffer, and every gradient written as
+    zeros + g.  Returns out, dx, dw, db."""
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    cols = np.empty((n, c, kh, kw, h, wd), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + h, j:j + wd]
+    cols2 = cols.reshape(n, c * kh * kw, h * wd)
+    w2 = w.reshape(f, c * kh * kw)
+    out = np.matmul(w2, cols2).reshape(n, f, h, wd)
+    out += b[None, :, None, None]
+    gl = g.reshape(n, f, h * wd)
+    db = np.zeros_like(b)
+    db += g.sum(axis=(0, 2, 3))
+    dw = np.zeros_like(w)
+    dw += np.matmul(gl, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    dcols = np.matmul(w2.T, gl).reshape(n, c, kh, kw, h, wd)
+    dxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + h, j:j + wd] += dcols[:, :, i, j]
+    dx = np.zeros_like(x)
+    dx += dxp[:, :, ph:ph + h, pw:pw + wd]
+    return out, dx, dw, db
+
+
+def _same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _signed_zeros(a, rng):
+    """Copy of `a` with about a quarter of its entries set to +0.0 or -0.0."""
+    a = a.copy()
+    hit = rng.random(a.shape) < 0.25
+    a[hit] = np.where(rng.random(a.shape) < 0.5, 0.0, -0.0)[hit]
+    return a
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("x_shape, f", [
+    ((64, 2, 32, 64), 8),     # desk stage 1
+    ((64, 8, 16, 32), 16),    # desk stage 2
+    ((64, 16, 8, 16), 96),    # desk stage 3
+    ((3, 2, 2, 6), 4),        # H = 2
+    ((3, 2, 5, 2), 4),        # W = 2
+    ((2, 3, 2, 2), 5),        # H = W = 2
+])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_conv2d_bit_equal_to_padded_oracle(dtype, k, x_shape, f, x_grad):
+    rng = np.random.default_rng(17)
+    c = x_shape[1]
+    x = _signed_zeros(rng.normal(size=x_shape).astype(dtype), rng)
+    w = rng.normal(size=(f, c, k, k)).astype(dtype)
+    b = rng.normal(size=f).astype(dtype)
+    g = _signed_zeros(rng.normal(size=(x_shape[0], f) + x_shape[2:]).astype(dtype), rng)
+    cases = [g]
+    if x_shape[0] < 64:
+        g_nan = g.copy()
+        g_nan[0, 0, -1, -1] = np.nan
+        g_zero = np.where(rng.random(g.shape) < 0.5, 0.0, -0.0).astype(dtype)
+        cases += [g_nan, g_zero]
+    for gg in cases:
+        xt, wt, bt = Tensor(x, requires_grad=x_grad), Tensor(w, True), Tensor(b, True)
+        out = T.conv2d(xt, wt, bt)
+        out._backward(gg.copy())
+        want_out, want_dx, want_dw, want_db = _conv2d_oracle(x, w, b, gg)
+        assert _same_bytes(out.data, want_out)
+        assert _same_bytes(wt.grad, want_dw)
+        assert _same_bytes(bt.grad, want_db)
+        if x_grad:
+            assert _same_bytes(xt.grad, want_dx)
+        else:
+            assert xt.grad is None
+
+
+def test_conv2d_gradient_check_kernel5_width2():
+    # kernel 5 on a 2-wide input: every horizontal shift but the centre
+    # wraps across a row, so the zeroed border cells carry the whole result
+    rng = np.random.default_rng(18)
+    params = {"x": Tensor(rng.normal(size=(2, 2, 3, 2)), requires_grad=True),
+              "w": Tensor(rng.normal(size=(3, 2, 5, 5)), requires_grad=True),
+              "b": Tensor(rng.normal(size=3), requires_grad=True)}
+    c = Tensor(rng.normal(size=(2, 3, 3, 2)))
+
+    def loss():
+        y = T.conv2d(params["x"], params["w"], params["b"])
+        return T.tsum(T.mul(T.mul(y, y), c))
+
+    report = gradient_check(loss, params)
+    assert report.max_rel_err < 1e-6, str(report)
+
+
+def _graph(root):
+    """Every tensor reachable from `root` through parents."""
+    seen, stack = {}, [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
+
+
+def _accumulate_oracle(self, g, owned=False):
+    """Gradient accumulation as zeros + g, then += for every later term."""
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+@pytest.mark.parametrize("build", [
+    lambda t, a, b: T.tsum(T.mul(T.add(t, t), a)),
+    lambda t, a, b: T.add(T.add(T.tsum(T.mul(T.relu(t), a)), T.tsum(T.mul(T.relu(t), b))),
+                          T.tsum(T.mul(T.avg_pool2d(t), b[:, :, ::2, ::2]))),
+], ids=["add", "relu-relu-pool"])
+def test_reused_input_gets_oracle_gradient(build, monkeypatch):
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=(2, 3, 4, 6))
+    x[0, 0, 0, :3] = [0.0, -0.0, 0.0]
+    a, b = rng.normal(size=x.shape), rng.normal(size=x.shape)
+    got = Tensor(x, requires_grad=True)
+    build(got, a, b).backward()
+    monkeypatch.setattr(Tensor, "_accumulate", _accumulate_oracle)
+    want = Tensor(x, requires_grad=True)
+    build(want, a, b).backward()
+    assert _same_bytes(got.grad, want.grad)
+
+
+def test_conv2d_input_consumed_twice_gets_oracle_gradient():
+    rng = np.random.default_rng(20)
+    x, g1, g2 = (rng.normal(size=(2, 3, 4, 6)) for _ in range(3))
+    w1, w2 = rng.normal(size=(3, 3, 3, 3)), rng.normal(size=(3, 3, 3, 3))
+    b = np.zeros(3)
+    xt = Tensor(x, requires_grad=True)
+    y1 = T.conv2d(xt, Tensor(w1), Tensor(b))
+    y2 = T.conv2d(xt, Tensor(w2), Tensor(b))
+    T.add(T.tsum(T.mul(y1, g1)), T.tsum(T.mul(y2, g2))).backward()
+    dx1 = _conv2d_oracle(x, w1, b, g1)[1]
+    dx2 = _conv2d_oracle(x, w2, b, g2)[1]
+    want = np.zeros_like(x)
+    want += dx2
+    want += dx1
+    assert _same_bytes(xt.grad, want)
+
+
+def test_backward_leaves_no_shared_buffers():
+    enc = Encoder.init(EncoderConfig(in_height=8, in_width=16, widths=(4, 6), embed_dim=5),
+                       np.random.default_rng(21))
+    x = Tensor(np.random.default_rng(22).normal(size=(3, 2, 8, 16)).astype(np.float32))
+    z = enc.forward(x)
+    loss = T.tsum(T.mul(z, z))
+    nodes = _graph(loss)
+    data_before = [n.data.copy() for n in nodes]
+    loss.backward()
+    grads_after = [None if n.grad is None else n.grad.copy() for n in nodes]
+    for n, before in zip(nodes, data_before):
+        assert _same_bytes(n.data, before)
+    arrays = [n.data for n in nodes] + [n.grad for n in nodes]
+    for i, n in enumerate(nodes):
+        if n.grad is not None:
+            others = arrays[:len(nodes) + i] + arrays[len(nodes) + i + 1:]
+            assert not any(a is not None and np.shares_memory(n.grad, a) for a in others)
+    # a second backward through the same closures adds, and touches only .grad
+    for n in nodes:
+        n.grad = None
+    loss.backward()
+    for n, want in zip(nodes, grads_after):
+        assert (n.grad is None) == (want is None)
+        if want is not None:
+            assert _same_bytes(n.grad, want)
+
+
+@pytest.mark.parametrize("owned", [False, True])
+def test_accumulate_maps_negative_zero_like_zeros_plus_g(owned):
+    g = np.array([[-0.0, 0.0, -1.5], [np.inf, -np.inf, np.nan]], dtype=np.float32)
+    t = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+    t._accumulate(g.copy(), owned=owned)
+    want = np.zeros_like(t.data) + g
+    assert _same_bytes(t.grad, want)
+    assert not np.signbit(t.grad[0, 0])
+
+
+def test_accumulate_casts_to_the_parameter_dtype():
+    g = np.array([-0.0, 1.0 / 3.0, -2.5], dtype=np.float32)
+    t = Tensor(np.ones(3, dtype=np.float64), requires_grad=True)
+    t._accumulate(g, owned=True)
+    assert _same_bytes(t.grad, np.zeros(3) + g)
+    assert not np.shares_memory(t.grad, g)
+    t._accumulate(g, owned=True)
+    want = np.zeros(3) + g
+    want += g
+    assert _same_bytes(t.grad, want)
+
+
+def test_accumulate_copies_a_buffer_laid_out_unlike_data():
+    data = np.ones((3, 4)).T                      # Fortran-ordered parameter
+    t = Tensor(data, requires_grad=True)
+    g = np.arange(12.0).reshape(4, 3)
+    t._accumulate(g, owned=True)
+    assert not np.shares_memory(t.grad, g)
+    assert t.grad.flags.f_contiguous and np.array_equal(t.grad, g)
