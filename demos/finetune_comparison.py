@@ -24,6 +24,8 @@ scenarios = [(c, generate_scenario(c, seed=0)) for c in cfgs]
 ds = build_dataset(scenarios, tmp, seed=0, train_fraction=0.8)
 
 # --- stage 1: pretraining on unlabeled pairs -------------------------------
+# The pretraining config declares the encoder architecture; both arms of
+# stage 2 build their encoder from this one declaration.
 pre_cfg = PretrainConfig(seed=0, batch_size=32, lr=2e-3, max_epochs=15,
                          widths=(8, 16, 32), embed_dim=64)
 print("pretraining 15 epochs...")
@@ -33,9 +35,9 @@ print()
 
 # --- stage 2: fine-tune with a 60-label budget, both arms ------------------
 ft_cfg = FinetuneConfig(batch_size=16, lr=2e-3, epochs=20, label_budget=60,
-                        head_hidden=32, widths=(8, 16, 32), embed_dim=64)
+                        head_hidden=32)
 task = "beam"
-runs = run_sweep(ds, task, ("pretrained", "scratch"), range(3), ft_cfg,
+runs = run_sweep(ds, task, ("pretrained", "scratch"), range(3), ft_cfg, pre_cfg,
                  f"{tmp}/pre/pretrain.ckpt")
 for r in runs:
     print(f"{r['init']:>10} seed {r['seed']}: beam accuracy {r['val_metric']:.3f} "

@@ -95,22 +95,24 @@ def _sweep(data: str, *sweep_args) -> list:
 def cmd_finetune(args) -> int:
     cfg = cfgmod.load_config(args.config)
     fcfg = cfgmod.finetune_config(cfg, label_budget=args.labels, epochs=args.epochs)
+    pcfg = cfgmod.pretrain_config(cfg)
     if args.init in ("pretrained", "probe") and not args.checkpoint:
         raise ConfigError(f"--init {args.init} needs --checkpoint")
     seeds = list(range(args.seed, args.seed + args.seeds))
     _echo("finetune", {"data": args.data, "out": args.out, "task": args.task,
                        "init": args.init, "checkpoint": args.checkpoint, "seeds": seeds,
-                       "finetune": dataclasses.asdict(fcfg)})
+                       "finetune": dataclasses.asdict(fcfg),
+                       "pretrain": {k: getattr(pcfg, k) for k in pt.ARCHITECTURE_FIELDS}})
     jobs = min(args.jobs, len(seeds))
     if jobs > 1:
         spawn = multiprocessing.get_context("spawn")
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
             parts = [pool.submit(_sweep, args.data, args.task, [args.init], seeds[i::jobs],
-                                 fcfg, args.checkpoint, args.out) for i in range(jobs)]
+                                 fcfg, pcfg, args.checkpoint, args.out) for i in range(jobs)]
             summaries = sorted((s for p in parts for s in p.result()), key=lambda s: s["seed"])
     else:
-        summaries = _sweep(args.data, args.task, [args.init], seeds, fcfg, args.checkpoint,
-                           args.out)
+        summaries = _sweep(args.data, args.task, [args.init], seeds, fcfg, pcfg,
+                           args.checkpoint, args.out)
     for s in summaries:
         print(f"{s['task']} {s['init']} seed {s['seed']}: "
               f"{s['metric_name']} {s['val_metric']:.4f} "

@@ -1,10 +1,13 @@
 """YAML experiment configs and built-in presets.
 
-A config file has four sections: `dataset` (seed, split fraction, cap, and
+A config file has three sections: `dataset` (seed, split fraction, cap, and
 the scenario list with a shared `geometry` block), `pretrain`, and
-`finetune`.  Presets ship inside the package (`desk` for minutes-scale runs
-on a laptop CPU, `paper` for the reference-scale parameters) and any
-section value can be overridden by a user file or CLI flag.
+`finetune`.  The encoder architecture (`widths`, `kernel_size`,
+`embed_dim`) is declared once, in `pretrain`: fine-tuning, pretrained and
+scratch alike, uses that same declaration.  Presets ship inside the package
+(`desk` for minutes-scale runs on a laptop CPU, `paper` for the
+reference-scale parameters) and any section value can be overridden by a
+user file or CLI flag.
 """
 
 import importlib.resources
@@ -14,7 +17,7 @@ import yaml
 from .chanmodel import ArrayGeometry, ScenarioConfig
 from .errors import ConfigError
 from .finetune import FinetuneConfig
-from .pretrain import PretrainConfig
+from .pretrain import ARCHITECTURE_FIELDS, PretrainConfig
 
 _GEOMETRY_KEYS = ("tx_geometry", "rx_geometry", "n_taps", "n_subcarriers",
                   "codebook_size", "bandwidth_hz")
@@ -122,5 +125,9 @@ def pretrain_config(cfg: dict, **overrides) -> PretrainConfig:
 
 def finetune_config(cfg: dict, **overrides) -> FinetuneConfig:
     section = {k: _denumerify(v) for k, v in dict(cfg.get("finetune", {})).items()}
+    moved = sorted(set(section) & set(ARCHITECTURE_FIELDS))
+    if moved:
+        raise ConfigError(f"finetune keys {moved} are not allowed: the encoder "
+                          f"architecture is declared once, under pretrain")
     section.update({k: v for k, v in overrides.items() if v is not None})
     return FinetuneConfig.from_dict(section)

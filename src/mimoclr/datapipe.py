@@ -44,10 +44,6 @@ _REC_HEAD = struct.Struct("<I3dBHH")
 _REC_PATH = struct.Struct("<ffH4fB")
 
 
-def record_nbytes(n_paths: int, n_rx: int, n_tx: int, n_taps: int) -> int:
-    return _REC_HEAD.size + n_paths * _REC_PATH.size + 8 * n_rx * n_tx * n_taps
-
-
 def encode_record(sample: ChannelSample, cir: np.ndarray) -> bytes:
     """Serialize one sample with its complex64 delay-domain response."""
     parts = [_REC_HEAD.pack(sample.scenario_id, *sample.ue_position,

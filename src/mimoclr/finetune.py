@@ -1,11 +1,12 @@
 """Downstream adaptation of the frequency-view encoder.
 
 A two-layer head goes on top of the encoder and the whole stack trains on
-labeled samples (the supervised baseline trains the identical architecture
-from a fresh init).  The controlled-comparison contract: for a given
-(seed, task, dataset), head initialization, labeled-subset selection, and
-data order are all derived independently of the init mode, so a pretrained
-and a scratch run differ in encoder initialization and nothing else.
+labeled samples (the supervised baseline trains the identical architecture,
+declared once by a PretrainConfig, from a fresh init).  The
+controlled-comparison contract: for a given (seed, task, dataset), head
+initialization, labeled-subset selection, and data order are all derived
+independently of the init mode, so a pretrained and a scratch run differ in
+encoder initialization and nothing else.
 
 Tasks:
     positioning              -> coordinate regression, squared-error loss,
@@ -24,11 +25,12 @@ from .datapipe import Dataset, load_batch
 from .errors import (ConfigError, ContractError, DataError, DegenerateDataError,
                      TrainingDivergenceError)
 from .nncore import checkpoint as ckpt
-from .nncore.layers import Encoder, EncoderConfig, Head, HeadConfig, prefixed
+from .nncore.layers import Encoder, Head, HeadConfig, prefixed
 from .nncore.losses import cross_entropy_loss, mse_loss
 from .nncore.optim import AdamW
 from .nncore.tensor import Tensor, no_grad
-from .pretrain import FORWARD_CHUNK, config_from_dict, encode_batch, load_pretrain_state
+from .pretrain import (FORWARD_CHUNK, PretrainConfig, config_from_dict, encode_batch,
+                       load_pretrain_state)
 from .rngstream import stream
 
 KIND_ALIASES = {
@@ -79,9 +81,6 @@ class FinetuneConfig:
     label_budget: int = 0          # 0 = use the full training split
     head_hidden: int = 64
     coordinate_dim: int = 2
-    widths: tuple = (16, 32, 64)
-    kernel_size: int = 3
-    embed_dim: int = 128
 
     def validated(self) -> "FinetuneConfig":
         if self.batch_size < 1 or self.epochs < 1 or self.head_hidden < 1:
@@ -119,17 +118,15 @@ class FinetuneRun:
 
 
 def init_finetune_run(dataset: Dataset, task_kind: str, init_mode: str, seed: int,
-                      config: FinetuneConfig, checkpoint_path=None) -> FinetuneRun:
-    """Build a run; `pretrained` loads the frequency-view encoder from a
-    checkpoint (architecture must match the config), `probe` loads it the
-    same way and freezes it so only the head trains, `scratch` draws a
-    fresh seed-determined init of the identical architecture."""
+                      config: FinetuneConfig, arch: PretrainConfig,
+                      checkpoint_path=None) -> FinetuneRun:
+    """Build a run whose encoder has the architecture `arch` declares;
+    `pretrained` loads the frequency-view encoder from a checkpoint (its
+    architecture must match), `probe` loads it the same way and freezes it
+    so only the head trains, `scratch` draws a fresh seed-determined init."""
     config = config.validated()
     task = make_task_spec(task_kind, dataset, config.coordinate_dim)
-    p = dataset.n_rx * dataset.n_tx
-    enc_cfg = EncoderConfig(in_height=p, in_width=dataset.n_subcarriers,
-                            widths=config.widths, kernel_size=config.kernel_size,
-                            embed_dim=config.embed_dim).validated()
+    enc_cfg = arch.encoder_config(dataset.n_rx * dataset.n_tx, dataset.n_subcarriers)
     if init_mode in ("pretrained", "probe"):
         if checkpoint_path is None:
             raise ConfigError(f"{init_mode} init needs a checkpoint path")
@@ -147,7 +144,7 @@ def init_finetune_run(dataset: Dataset, task_kind: str, init_mode: str, seed: in
     if init_mode == "probe":
         for t in encoder.params.values():
             t.requires_grad = False
-    head_cfg = HeadConfig(in_dim=config.embed_dim, hidden_dim=config.head_hidden,
+    head_cfg = HeadConfig(in_dim=encoder.config.embed_dim, hidden_dim=config.head_hidden,
                           out_dim=task.out_dim)
     head = Head.init(head_cfg, stream(seed, "finetune-head-init"))
     return FinetuneRun(task=task, init_mode=init_mode, seed=seed, config=config,
@@ -311,7 +308,8 @@ def improvement_report(pretrained_metric: float, scratch_metric: float, task_kin
 def finetune_summary(run: FinetuneRun) -> dict:
     """Structured record consumed by the report command.  `val_metric` is
     the selected epoch's metric on the validation split, which `evaluate`
-    on that split reproduces from the held parameters."""
+    on that split reproduces from the held parameters; "encoder" names the
+    architecture the run scored."""
     if run.best_epoch < 1:
         raise ContractError("run has no selected epoch; fine-tune it first")
     return {
@@ -327,19 +325,21 @@ def finetune_summary(run: FinetuneRun) -> dict:
         "val_metric": run.best_val_metric,
         "epochs_run": len(run.history),
         "config": dataclasses.asdict(run.config),
+        "encoder": dataclasses.asdict(run.encoder.config),
     }
 
 
 def run_sweep(dataset: Dataset, task_kind: str, inits, seeds, config: FinetuneConfig,
-              checkpoint_path=None, out_dir=None) -> list:
-    """Fine-tune one run per (seed, init mode), seed-major, and return their
-    summaries.  With `out_dir`, each run also writes its weights (and
-    positioning target statistics) to `<task>_<init>_seed<s>.ckpt` and its
-    summary to `.json`, whose path the summary then holds as "artifact"."""
+              arch: PretrainConfig, checkpoint_path=None, out_dir=None) -> list:
+    """Fine-tune one run per (seed, init mode), seed-major, each with the
+    encoder architecture `arch` declares, and return their summaries.  With
+    `out_dir`, each run also writes its weights (and positioning target
+    statistics) to `<task>_<init>_seed<s>.ckpt` and its summary to `.json`,
+    whose path the summary then holds as "artifact"."""
     summaries = []
     for seed in seeds:
         for init_mode in inits:
-            run = init_finetune_run(dataset, task_kind, init_mode, seed, config,
+            run = init_finetune_run(dataset, task_kind, init_mode, seed, config, arch,
                                     checkpoint_path)
             finetune(run, dataset)
             summary = finetune_summary(run)

@@ -120,9 +120,6 @@ class Head:
         h = T.relu(T.add(T.matmul(x, self.params["fc1.w"]), self.params["fc1.b"]))
         return T.add(T.matmul(h, self.params["fc2.w"]), self.params["fc2.b"])
 
-    def n_parameters(self) -> int:
-        return sum(p.data.size for p in self.params.values())
-
 
 def prefixed(params: dict, prefix: str) -> dict:
     """Flat view of a param dict under a name prefix (shared Tensor objects)."""

@@ -36,6 +36,10 @@ log = logging.getLogger(__name__)
 # record's output does not depend on the chunk size.
 FORWARD_CHUNK = 64
 
+# The PretrainConfig fields that declare the encoder architecture.  The
+# supervised baseline and every fine-tune run use this same declaration.
+ARCHITECTURE_FIELDS = ("widths", "kernel_size", "embed_dim")
+
 
 def config_from_dict(cls, d: dict):
     """Build and validate a config dataclass (PretrainConfig or
@@ -79,6 +83,14 @@ class PretrainConfig:
         if self.max_epochs < 1 or self.patience < 1:
             raise ConfigError(f"max_epochs and patience must be >= 1")
         return self
+
+    def encoder_config(self, in_height: int, in_width: int) -> EncoderConfig:
+        """The declared encoder architecture at an input of in_height x
+        in_width bins: the one place an EncoderConfig is built from config
+        values."""
+        return EncoderConfig(in_height=in_height, in_width=in_width, widths=self.widths,
+                             kernel_size=self.kernel_size,
+                             embed_dim=self.embed_dim).validated()
 
     from_dict = classmethod(config_from_dict)
 
@@ -130,9 +142,7 @@ def load_pairs(dataset: Dataset, indices) -> PairArrays:
 
 def init_pretrain_state(config: PretrainConfig, in_height: int, in_width: int) -> PretrainState:
     config = config.validated()
-    enc_cfg = EncoderConfig(in_height=in_height, in_width=in_width,
-                            widths=config.widths, kernel_size=config.kernel_size,
-                            embed_dim=config.embed_dim).validated()
+    enc_cfg = config.encoder_config(in_height, in_width)
     csi_enc = Encoder.init(enc_cfg, stream(config.seed, "csi-encoder-init"))
     cir_enc = Encoder.init(enc_cfg, stream(config.seed, "cir-encoder-init"))
     log_tau = Tensor(np.float32(np.log(config.tau_init)), requires_grad=True)
@@ -286,10 +296,7 @@ def load_pretrain_state(path: str):
         raise ContractError(f"{path} is not a pretraining checkpoint")
     config = PretrainConfig.from_dict(meta["config"])
     ec = meta["encoder_config"]
-    enc_cfg = EncoderConfig(in_height=ec["in_height"], in_width=ec["in_width"],
-                            in_channels=ec["in_channels"], widths=tuple(ec["widths"]),
-                            kernel_size=ec["kernel_size"], embed_dim=ec["embed_dim"])
-    state = init_pretrain_state(config, enc_cfg.in_height, enc_cfg.in_width)
+    state = init_pretrain_state(config, ec["in_height"], ec["in_width"])
     for name, p in state.parameters().items():
         p.data = np.array(tensors[name], dtype=np.float32).reshape(p.data.shape)
     state.optimizer.load_state_arrays(tensors, meta["opt_t"])

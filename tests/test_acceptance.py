@@ -241,11 +241,12 @@ def pt_pairs_count(dataset):
 def test_low_label_trend(desk_dataset, desk_pretrained):
     _, _, _, ckpt_path = desk_pretrained
     t0 = time.monotonic()
-    fcfg = finetune_config(load_config("desk"), label_budget=200, epochs=25)
+    cfg = load_config("desk")
+    fcfg = finetune_config(cfg, label_budget=200, epochs=25)
     results = {}
     for task in ("positioning", "beam", "los"):
         runs = ft.run_sweep(desk_dataset, task, ("pretrained", "scratch"), range(5), fcfg,
-                            ckpt_path)
+                            pretrain_config(cfg), ckpt_path)
         results[task] = {init: float(np.median([r["val_metric"] for r in runs
                                                 if r["init"] == init]))
                          for init in ("pretrained", "scratch")}
@@ -278,8 +279,7 @@ MINI_CFG = {
     "pretrain": {"seed": 0, "batch_size": 16, "lr": 2e-3, "max_epochs": 2,
                  "patience": 30, "holdout_fraction": 0.15,
                  "widths": [4, 8, 16], "embed_dim": 32},
-    "finetune": {"batch_size": 16, "lr": 2e-3, "epochs": 2, "head_hidden": 16,
-                 "widths": [4, 8, 16], "embed_dim": 32},
+    "finetune": {"batch_size": 16, "lr": 2e-3, "epochs": 2, "head_hidden": 16},
 }
 
 

@@ -31,8 +31,7 @@ CONFIG = {
     "pretrain": {"seed": 0, "batch_size": 16, "lr": 2e-3, "max_epochs": 3,
                  "patience": 30, "holdout_fraction": 0.15,
                  "widths": [4, 8, 16], "embed_dim": 32},
-    "finetune": {"batch_size": 16, "lr": 2e-3, "epochs": 2, "head_hidden": 16,
-                 "widths": [4, 8, 16], "embed_dim": 32},
+    "finetune": {"batch_size": 16, "lr": 2e-3, "epochs": 2, "head_hidden": 16},
 }
 
 
@@ -183,6 +182,40 @@ def test_finetune_writes_paired_artifacts(work, capsys):
             assert art["init"] == init and art["seed"] == seed
             assert art["epochs_run"] == 2
             assert (out / f"channel_identification_{init}_seed{seed}.ckpt").exists()
+
+
+def test_finetune_scratch_and_pretrained_build_the_declared_encoder(work, capsys):
+    out = work["root"] / "ft_arch"
+    echoes = {}
+    for init in ("scratch", "pretrained"):
+        argv = ["finetune", work["data"], "--config", work["config"], "--task", "beam",
+                "--init", init, "--epochs", "1", "--out", str(out)]
+        if init == "pretrained":
+            argv += ["--checkpoint", work["ckpt"]]
+        assert main(argv) == 0
+        echo = "\n".join(line[2:] for line in capsys.readouterr().out.splitlines()
+                         if line.startswith("# "))
+        echoes[init] = yaml.safe_load(echo)["pretrain"]
+    encoders = [json.load(open(out / f"beam_management_{init}_seed0.json"))["encoder"]
+                for init in ("scratch", "pretrained")]
+    assert encoders[0] == encoders[1]
+    assert encoders[0] == pt.load_pretrain_state(work["ckpt"])[1]["encoder_config"]
+    assert echoes["scratch"] == echoes["pretrained"] == {
+        "widths": [4, 8, 16], "kernel_size": 3, "embed_dim": 32}
+
+
+def test_finetune_rejects_architecture_keys_under_finetune(work, tmp_path, capsys):
+    cfg = {**CONFIG, "finetune": {**CONFIG["finetune"], "widths": [4, 8, 16],
+                                  "embed_dim": 32}}
+    cfg_path = tmp_path / "old.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "ft"
+    rc = main(["finetune", work["data"], "--config", str(cfg_path), "--task", "los",
+               "--init", "scratch", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert "['embed_dim', 'widths']" in err and "pretrain" in err
+    assert not out.exists()
 
 
 def test_finetune_opens_the_dataset_once(work, monkeypatch, capsys):

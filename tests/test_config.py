@@ -5,6 +5,7 @@ import yaml
 
 from mimoclr import config as C
 from mimoclr.errors import ConfigError
+from mimoclr.pretrain import ARCHITECTURE_FIELDS
 
 
 def test_builtin_presets_present():
@@ -25,6 +26,21 @@ def test_presets_expand(name):
     assert isinstance(pcfg.lr, float) and pcfg.lr > 0
     fcfg = C.finetune_config(cfg)
     assert fcfg.epochs >= 1
+
+
+@pytest.mark.parametrize("name", ["desk", "paper"])
+def test_preset_architecture_fits_its_geometry(name):
+    """The one architecture declaration, under pretrain, pools cleanly at the
+    preset's own input of P = rx x tx antenna pairs by K subcarriers."""
+    cfg = C.load_config(name)
+    pcfg = C.pretrain_config(cfg)
+    for s in C.scenario_configs(cfg):
+        p = s.rx_geometry.n_elements * s.tx_geometry.n_elements
+        enc = pcfg.encoder_config(p, s.n_subcarriers)
+        assert (enc.in_height, enc.in_width) == (p, s.n_subcarriers)
+        assert (enc.widths, enc.kernel_size, enc.embed_dim) == \
+            (pcfg.widths, pcfg.kernel_size, pcfg.embed_dim)
+    assert not set(cfg["finetune"]) & set(ARCHITECTURE_FIELDS)
 
 
 def test_desk_preset_values():

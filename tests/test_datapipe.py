@@ -91,20 +91,20 @@ def test_record_round_trip_bit_exact():
         assert datapipe.encode_record(s2, cir2) == blob
 
 
+def record_nbytes(n_paths, n_rx, n_tx, n_taps):
+    """Record layout oracle: header 33 bytes, 27 per path, 8 per complex
+    CIR entry."""
+    return 33 + 27 * n_paths + 8 * n_rx * n_tx * n_taps
+
+
 def test_record_size_closed_form():
     cfg = small_config(n_ue=100)
     samples = generate_scenario(cfg, 1)
-    want = sum(datapipe.record_nbytes(len(s.paths), 2, 16, cfg.n_taps) for s in samples)
-    blob = b"".join(
-        datapipe.encode_record(
-            s, synthesize_cir(s, cfg.tx_geometry, cfg.rx_geometry, cfg.n_taps
-                              ).astype(np.complex64))
-        for s in samples)
-    assert len(blob) == want
-    # header 33 bytes, 27 per path, 8 per complex CIR entry
-    s0 = samples[0]
-    assert datapipe.record_nbytes(len(s0.paths), 2, 16, 32) == \
-        33 + 27 * len(s0.paths) + 8 * 2 * 16 * 32
+    sizes = [len(datapipe.encode_record(
+        s, synthesize_cir(s, cfg.tx_geometry, cfg.rx_geometry, cfg.n_taps).astype(np.complex64)))
+        for s in samples]
+    assert sizes == [record_nbytes(len(s.paths), 2, 16, cfg.n_taps) for s in samples]
+    assert len({len(s.paths) for s in samples}) > 1
 
 
 def test_write_read_dataset_round_trip(tmp_path):

@@ -10,8 +10,7 @@ from mimoclr import pretrain as P
 from mimoclr.errors import ConfigError, ContractError, DataError
 from mimoclr.nncore.layers import Encoder, EncoderConfig, prefixed
 
-FT = F.FinetuneConfig(batch_size=16, lr=2e-3, epochs=4, head_hidden=16,
-                      widths=(4, 8, 16), embed_dim=32)
+FT = F.FinetuneConfig(batch_size=16, lr=2e-3, epochs=4, head_hidden=16)
 
 PRE = P.PretrainConfig(seed=0, batch_size=32, lr=2e-3, max_epochs=2,
                        patience=30, holdout_fraction=0.15,
@@ -49,8 +48,8 @@ def test_task_specs(mini_dataset):
 
 def test_head_init_identical_across_init_modes(mini_dataset, mini_checkpoint):
     runs = [
-        F.init_finetune_run(mini_dataset, "beam", "scratch", 7, FT),
-        F.init_finetune_run(mini_dataset, "beam", "pretrained", 7, FT,
+        F.init_finetune_run(mini_dataset, "beam", "scratch", 7, FT, PRE),
+        F.init_finetune_run(mini_dataset, "beam", "pretrained", 7, FT, PRE,
                             checkpoint_path=mini_checkpoint),
     ]
     for k, p in runs[0].head.params.items():
@@ -62,7 +61,7 @@ def test_head_init_identical_across_init_modes(mini_dataset, mini_checkpoint):
 
 
 def test_pretrained_init_matches_checkpoint(mini_dataset, mini_checkpoint):
-    run = F.init_finetune_run(mini_dataset, "los", "pretrained", 3, FT,
+    run = F.init_finetune_run(mini_dataset, "los", "pretrained", 3, FT, PRE,
                               checkpoint_path=mini_checkpoint)
     pre_state, _ = P.load_pretrain_state(mini_checkpoint)
     for k, p in pre_state.csi_encoder.params.items():
@@ -70,16 +69,16 @@ def test_pretrained_init_matches_checkpoint(mini_dataset, mini_checkpoint):
 
 
 def test_architecture_mismatch_rejected(mini_dataset, mini_checkpoint):
-    wrong = dataclasses.replace(FT, embed_dim=64)
+    wrong = dataclasses.replace(PRE, embed_dim=64)
     with pytest.raises(ConfigError, match="match"):
-        F.init_finetune_run(mini_dataset, "beam", "pretrained", 0, wrong,
+        F.init_finetune_run(mini_dataset, "beam", "pretrained", 0, FT, wrong,
                             checkpoint_path=mini_checkpoint)
     with pytest.raises(ConfigError):
-        F.init_finetune_run(mini_dataset, "beam", "pretrained", 0, FT)  # no ckpt
+        F.init_finetune_run(mini_dataset, "beam", "pretrained", 0, FT, PRE)  # no ckpt
     with pytest.raises(ConfigError, match="probe init needs a checkpoint"):
-        F.init_finetune_run(mini_dataset, "beam", "probe", 0, FT)
+        F.init_finetune_run(mini_dataset, "beam", "probe", 0, FT, PRE)
     with pytest.raises(ConfigError):
-        F.init_finetune_run(mini_dataset, "beam", "warmstart", 0, FT)
+        F.init_finetune_run(mini_dataset, "beam", "warmstart", 0, FT, PRE)
 
 
 def test_labeled_subset_budget(mini_dataset):
@@ -96,7 +95,7 @@ def test_labeled_subset_budget(mini_dataset):
 
 def test_lr_zero_is_a_no_op(mini_dataset):
     cfg = dataclasses.replace(FT, lr=0.0, epochs=3)
-    run = F.init_finetune_run(mini_dataset, "pos", "scratch", 2, cfg)
+    run = F.init_finetune_run(mini_dataset, "pos", "scratch", 2, cfg, PRE)
     before = snapshot(run.parameters())
     metric_before = None
     F.finetune(run, mini_dataset)
@@ -104,7 +103,7 @@ def test_lr_zero_is_a_no_op(mini_dataset):
         assert np.array_equal(p.data, before[k]), k
     # and the evaluated metric is exactly the at-init metric
     metric_after = F.evaluate(run, mini_dataset, mini_dataset.val_indices())
-    run2 = F.init_finetune_run(mini_dataset, "pos", "scratch", 2, cfg)
+    run2 = F.init_finetune_run(mini_dataset, "pos", "scratch", 2, cfg, PRE)
     run2.target_mean, run2.target_std = run.target_mean, run.target_std
     metric_before = F.evaluate(run2, mini_dataset, mini_dataset.val_indices())
     assert metric_after == metric_before
@@ -112,7 +111,7 @@ def test_lr_zero_is_a_no_op(mini_dataset):
 
 def test_probe_freezes_encoder(mini_dataset, mini_checkpoint):
     run = F.init_finetune_run(mini_dataset, "los", "probe", 1,
-                              dataclasses.replace(FT, epochs=2),
+                              dataclasses.replace(FT, epochs=2), PRE,
                               checkpoint_path=mini_checkpoint)
     F.finetune(run, mini_dataset)
     pre_state, _ = P.load_pretrain_state(mini_checkpoint)
@@ -121,7 +120,7 @@ def test_probe_freezes_encoder(mini_dataset, mini_checkpoint):
     assert run.freeze_encoder
     assert "encoder.conv0.w" not in run.parameters()
     # the head did move
-    fresh = F.init_finetune_run(mini_dataset, "los", "pretrained", 1, FT,
+    fresh = F.init_finetune_run(mini_dataset, "los", "pretrained", 1, FT, PRE,
                                 checkpoint_path=mini_checkpoint)
     assert any(not np.array_equal(run.head.params[k].data, fresh.head.params[k].data)
                for k in run.head.params)
@@ -150,7 +149,7 @@ def zeroed_head(run):
 
 
 def test_positioning_metric_against_loop(mini_dataset):
-    run = F.init_finetune_run(mini_dataset, "pos", "scratch", 0, FT)
+    run = F.init_finetune_run(mini_dataset, "pos", "scratch", 0, FT, PRE)
     idx = mini_dataset.val_indices()
     _, y = F._task_arrays(mini_dataset, idx, run.task)
     run.target_mean = y.mean(axis=0)
@@ -162,13 +161,13 @@ def test_positioning_metric_against_loop(mini_dataset):
 
 
 def test_positioning_metric_requires_training(mini_dataset):
-    run = F.init_finetune_run(mini_dataset, "pos", "scratch", 0, FT)
+    run = F.init_finetune_run(mini_dataset, "pos", "scratch", 0, FT, PRE)
     with pytest.raises(ContractError, match="statistics"):
         F.evaluate(run, mini_dataset, [0, 1])
 
 
 def test_classification_metric_hand_count(mini_dataset):
-    run = zeroed_head(F.init_finetune_run(mini_dataset, "beam", "scratch", 0, FT))
+    run = zeroed_head(F.init_finetune_run(mini_dataset, "beam", "scratch", 0, FT, PRE))
     idx = mini_dataset.val_indices()
     _, y = F._task_arrays(mini_dataset, idx, run.task)
     # all-equal logits argmax to class 0 (lowest index wins ties)
@@ -177,7 +176,7 @@ def test_classification_metric_hand_count(mini_dataset):
 
 def test_finetune_learns_beam_task(mini_dataset):
     cfg = dataclasses.replace(FT, epochs=12)
-    run = F.finetune(F.init_finetune_run(mini_dataset, "beam", "scratch", 0, cfg),
+    run = F.finetune(F.init_finetune_run(mini_dataset, "beam", "scratch", 0, cfg, PRE),
                      mini_dataset)
     acc = F.evaluate(run, mini_dataset, mini_dataset.val_indices())
     assert acc > 1.0 / 16  # clears the random-guess floor
@@ -187,7 +186,7 @@ def test_finetune_learns_beam_task(mini_dataset):
 
 def test_best_epoch_restoration(mini_dataset):
     cfg = dataclasses.replace(FT, epochs=5)
-    run = F.finetune(F.init_finetune_run(mini_dataset, "ci", "scratch", 0, cfg),
+    run = F.finetune(F.init_finetune_run(mini_dataset, "ci", "scratch", 0, cfg, PRE),
                      mini_dataset)
     losses = [h["val_loss"] for h in run.history]
     assert run.best_epoch == int(np.argmin(losses)) + 1
@@ -200,7 +199,7 @@ def test_same_seed_same_run(mini_dataset):
     cfg = dataclasses.replace(FT, epochs=2)
     outs = []
     for _ in range(2):
-        run = F.finetune(F.init_finetune_run(mini_dataset, "los", "scratch", 9, cfg),
+        run = F.finetune(F.init_finetune_run(mini_dataset, "los", "scratch", 9, cfg, PRE),
                          mini_dataset)
         outs.append((tuple(h["val_loss"] for h in run.history),
                      snapshot(run.parameters())))
@@ -211,19 +210,21 @@ def test_same_seed_same_run(mini_dataset):
 
 def test_summary_structure(mini_dataset):
     cfg = dataclasses.replace(FT, epochs=1, label_budget=40)
-    run = F.finetune(F.init_finetune_run(mini_dataset, "beam", "scratch", 3, cfg),
+    run = F.finetune(F.init_finetune_run(mini_dataset, "beam", "scratch", 3, cfg, PRE),
                      mini_dataset)
     s = F.finetune_summary(run)
     assert s["kind"] == "finetune" and s["task"] == "beam_management"
     assert s["metric_name"] == "accuracy" and s["init"] == "scratch"
     assert s["seed"] == 3 and s["label_budget"] == 40
     assert s["epochs_run"] == 1 and 0.0 <= s["val_metric"] <= 1.0
+    p, k = mini_dataset.n_rx * mini_dataset.n_tx, mini_dataset.n_subcarriers
+    assert s["encoder"] == dataclasses.asdict(PRE.encoder_config(p, k))
 
 
 @pytest.mark.parametrize("frozen", [False, True])
 def test_predict_matches_taped_forward_and_leaves_grads(mini_dataset, mini_checkpoint, frozen):
-    run = F.init_finetune_run(mini_dataset, "beam", "probe" if frozen else "pretrained", 5, FT,
-                              checkpoint_path=mini_checkpoint)
+    run = F.init_finetune_run(mini_dataset, "beam", "probe" if frozen else "pretrained", 5,
+                              FT, PRE, checkpoint_path=mini_checkpoint)
     x, _ = F._task_arrays(mini_dataset, mini_dataset.val_indices()[:40], run.task)
     every = {**prefixed(run.encoder.params, "encoder."), **prefixed(run.head.params, "head.")}
     marker = {k: np.full_like(p.data, 7.0) for k, p in every.items()}
@@ -237,8 +238,8 @@ def test_predict_matches_taped_forward_and_leaves_grads(mini_dataset, mini_check
 
 @pytest.mark.parametrize("frozen", [False, True])
 def test_predict_is_chunk_invariant(mini_dataset, mini_checkpoint, frozen):
-    run = F.init_finetune_run(mini_dataset, "pos", "probe" if frozen else "pretrained", 5, FT,
-                              checkpoint_path=mini_checkpoint)
+    run = F.init_finetune_run(mini_dataset, "pos", "probe" if frozen else "pretrained", 5,
+                              FT, PRE, checkpoint_path=mini_checkpoint)
     x, _ = F._task_arrays(mini_dataset, np.arange(260) % mini_dataset.n_records, run.task)
     want = F._predict(run, x, chunk=256)
     for chunk in (1, 63, 64):
@@ -250,7 +251,7 @@ def test_predict_is_chunk_invariant(mini_dataset, mini_checkpoint, frozen):
 @pytest.mark.parametrize("init", ["scratch", "pretrained", "probe"])
 def test_summary_metric_equals_fresh_evaluate(mini_dataset, mini_checkpoint, task, init):
     cfg = dataclasses.replace(FT, epochs=3)
-    run = F.init_finetune_run(mini_dataset, task, init, 4, cfg,
+    run = F.init_finetune_run(mini_dataset, task, init, 4, cfg, PRE,
                               checkpoint_path=mini_checkpoint)
     F.finetune(run, mini_dataset)
     want = F.evaluate(run, mini_dataset, mini_dataset.val_indices())
@@ -259,7 +260,7 @@ def test_summary_metric_equals_fresh_evaluate(mini_dataset, mini_checkpoint, tas
 
 def test_summary_metric_is_the_selected_epochs(mini_dataset):
     cfg = dataclasses.replace(FT, epochs=6, lr=1e-2)
-    run = F.finetune(F.init_finetune_run(mini_dataset, "pos", "scratch", 2, cfg),
+    run = F.finetune(F.init_finetune_run(mini_dataset, "pos", "scratch", 2, cfg, PRE),
                      mini_dataset)
     assert run.best_epoch < len(run.history)  # selection kept an earlier epoch
     want = F.evaluate(run, mini_dataset, mini_dataset.val_indices())
@@ -267,7 +268,7 @@ def test_summary_metric_is_the_selected_epochs(mini_dataset):
 
 
 def test_summary_needs_a_selected_epoch(mini_dataset):
-    run = F.init_finetune_run(mini_dataset, "beam", "scratch", 0, FT)
+    run = F.init_finetune_run(mini_dataset, "beam", "scratch", 0, FT, PRE)
     with pytest.raises(ContractError, match="epoch"):
         F.finetune_summary(run)
 
@@ -277,7 +278,7 @@ def loop_oracle(dataset, task, inits, seeds, config, checkpoint_path):
     out = []
     for seed in seeds:
         for init in inits:
-            run = F.init_finetune_run(dataset, task, init, seed, config,
+            run = F.init_finetune_run(dataset, task, init, seed, config, PRE,
                                       checkpoint_path=checkpoint_path)
             F.finetune(run, dataset)
             out.append({"init": run.init_mode, "seed": seed, "best_epoch": run.best_epoch,
@@ -290,7 +291,7 @@ def loop_oracle(dataset, task, inits, seeds, config, checkpoint_path):
 def test_run_sweep_matches_per_run_loop(mini_dataset, mini_checkpoint, task):
     cfg = dataclasses.replace(FT, epochs=2, label_budget=40)
     inits = ("pretrained", "scratch", "probe")
-    got = F.run_sweep(mini_dataset, task, inits, range(2), cfg, mini_checkpoint)
+    got = F.run_sweep(mini_dataset, task, inits, range(2), cfg, PRE, mini_checkpoint)
     want = loop_oracle(mini_dataset, task, inits, range(2), cfg, mini_checkpoint)
     assert [{k: s[k] for k in want[0]} for s in got] == want
     assert [s["frozen_encoder"] for s in got] == [i == "probe" for i in inits] * 2

@@ -53,15 +53,21 @@ def test_add_mul_broadcast():
 
 
 def test_sub_div_neg():
-    check_op(lambda a, b: T.tsum((a - b) / (b * b + 3.0)), (3, 3), (3, 3), seed=2)
-    check_op(lambda a: T.tsum(-a * a), (5,))
+    # subtraction and negation are multiplication by -1
+    check_op(lambda a, b: T.tsum(T.div(T.add(a, T.mul(b, -1.0)), T.add(T.mul(b, b), 3.0))),
+             (3, 3), (3, 3), seed=2)
+    check_op(lambda a: T.tsum(T.mul(T.mul(a, -1.0), a)), (5,))
 
 
 def test_scalar_operand_folding():
-    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    out = T.tsum(2.0 * a + 1.0)
-    out.backward()
-    assert np.allclose(a.grad, [2.0, 2.0])
+    # a plain number on either side of add or mul is folded in as a constant
+    for build in (lambda a: T.add(T.mul(a, 2.0), 1.0),
+                  lambda a: T.add(1.0, T.mul(2.0, a))):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        out = T.tsum(build(a))
+        out.backward()
+        assert float(out.data) == 8.0
+        assert np.allclose(a.grad, [2.0, 2.0])
 
 
 def test_matmul_and_transpose():
