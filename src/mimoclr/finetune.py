@@ -260,6 +260,7 @@ def finetune(run: FinetuneRun, dataset: Dataset) -> FinetuneRun:
             loss.backward()
             opt.step()
             loss_sum += float(loss.data) * idx.size
+            del out, loss   # free this step's graph before the next forward
         val_loss, pred = _val_loss(run, x_val, y_val_t)
         if not math.isfinite(val_loss):
             raise TrainingDivergenceError(

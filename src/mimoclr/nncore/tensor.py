@@ -50,7 +50,12 @@ class Tensor:
             self.grad = np.add(g, 0, out=np.empty_like(self.data))
 
     def backward(self):
-        """Backpropagate from a scalar."""
+        """Backpropagate from a scalar, adding into every leaf's .grad.
+
+        A non-leaf tensor (one made by an op) drops its .grad as soon as its
+        closure has consumed it, so read gradients on leaves.  Closures and
+        parents are kept: the same graph can be backpropagated again, and a
+        second call adds exactly one more gradient into each leaf."""
         if self.data.size != 1:
             raise ContractError(f"backward() needs a scalar, got shape {self.data.shape}")
         topo = []
@@ -72,6 +77,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
 
 def _wrap(x, like: Tensor) -> Tensor:

@@ -225,6 +225,7 @@ def pretrain_epoch(state: PretrainState, pairs: PairArrays) -> dict:
         loss_sum += float(loss.data) * idx.size
         hit_sum += _batch_retrieval(z_csi.data, z_cir.data) * idx.size
         n_used += idx.size
+        del z_csi, z_cir, loss   # free this step's graph before the next forward
     if n_used == 0:
         raise ContractError("epoch had no usable batches")
     state.epoch += 1

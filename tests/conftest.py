@@ -6,6 +6,7 @@ session-scoped and only built when a test actually pulls them in
 """
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -62,3 +63,17 @@ def desk_pretrained(tmp_path_factory, desk_dataset):
     state, rows = run_pretraining(desk_dataset, cfg, str(out))
     wall = time.monotonic() - t0
     return state, rows, wall, str(out / "pretrain.ckpt")
+
+
+@pytest.fixture
+def traced_peak():
+    """fn -> peak bytes that Python and numpy allocate while fn runs
+    (tracemalloc: deterministic, unlike resident size)."""
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -2,7 +2,8 @@
 
 Each test prints one PASS line with its measured values; the heavyweight
 desk-scale fixtures (dataset, pretraining run) live in conftest.py and are
-shared across tests.
+shared across tests.  Tests that build desk-scale data are marked `slow`;
+`pytest -m "not slow"` leaves them out.
 """
 
 import dataclasses
@@ -41,6 +42,7 @@ def desk_samples(n, seed=0):
 
 # --- 1. Fourier duality ----------------------------------------------------
 
+@pytest.mark.slow
 def test_fourier_duality_suite():
     t0 = time.monotonic()
     worst_err = 0.0
@@ -158,6 +160,7 @@ def oracle_dft_codebook(geom):
     return np.kron(dft(geom.rows), dft(geom.cols))
 
 
+@pytest.mark.slow
 def test_beam_label_oracle():
     pairs = desk_samples(1000, seed=17)
     n_checked = 0
@@ -183,6 +186,7 @@ def test_beam_label_oracle():
 
 # --- 4. Contrastive sanity -------------------------------------------------
 
+@pytest.mark.slow
 def test_contrastive_sanity(desk_dataset):
     cfg = pretrain_config(load_config("desk"))
     state = pt.init_pretrain_state(dataclasses.replace(cfg, tau_init=1.0),
@@ -216,6 +220,7 @@ def test_contrastive_sanity(desk_dataset):
 
 # --- 5. Pretraining learnability -------------------------------------------
 
+@pytest.mark.slow
 def test_pretraining_learnability(desk_dataset, desk_pretrained):
     state, rows, wall, _ = desk_pretrained
     assert pt_pairs_count(desk_dataset) >= 2000
@@ -238,6 +243,7 @@ def pt_pairs_count(dataset):
 
 # --- 6. Low-label trend ----------------------------------------------------
 
+@pytest.mark.slow
 def test_low_label_trend(desk_dataset, desk_pretrained):
     _, _, _, ckpt_path = desk_pretrained
     t0 = time.monotonic()

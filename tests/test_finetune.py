@@ -7,6 +7,7 @@ import pytest
 
 from mimoclr import finetune as F
 from mimoclr import pretrain as P
+from mimoclr.config import load_config, pretrain_config
 from mimoclr.errors import ConfigError, ContractError, DataError
 from mimoclr.nncore.layers import Encoder, EncoderConfig, prefixed
 
@@ -15,6 +16,7 @@ FT = F.FinetuneConfig(batch_size=16, lr=2e-3, epochs=4, head_hidden=16)
 PRE = P.PretrainConfig(seed=0, batch_size=32, lr=2e-3, max_epochs=2,
                        patience=30, holdout_fraction=0.15,
                        widths=(4, 8, 16), embed_dim=32)
+DESK = pretrain_config(load_config("desk"))
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +184,17 @@ def test_finetune_learns_beam_task(mini_dataset):
     assert acc > 1.0 / 16  # clears the random-guess floor
     assert run.best_epoch >= 1
     assert run.best_val_loss == min(h["val_loss"] for h in run.history)
+
+
+def test_epoch_holds_one_batch_at_a_time(mini_dataset, traced_peak):
+    # desk architecture, one epoch: three batches peak no higher than one
+    # (the labeled inputs themselves grow by 0.5 MiB, about 3%)
+    peaks = []
+    for budget in (16, 48):
+        cfg = dataclasses.replace(FT, epochs=1, label_budget=budget)
+        run = F.init_finetune_run(mini_dataset, "beam", "scratch", 0, cfg, DESK)
+        peaks.append(traced_peak(lambda: F.finetune(run, mini_dataset)))
+    assert peaks[1] <= 1.05 * peaks[0], peaks
 
 
 def test_best_epoch_restoration(mini_dataset):

@@ -480,12 +480,17 @@ def test_conv2d_input_consumed_twice_gets_oracle_gradient():
     assert _same_bytes(xt.grad, want)
 
 
-def test_backward_leaves_no_shared_buffers():
+def _encoder_graph():
+    """A small Encoder's squared-embedding loss and the encoder."""
     enc = Encoder.init(EncoderConfig(in_height=8, in_width=16, widths=(4, 6), embed_dim=5),
                        np.random.default_rng(21))
     x = Tensor(np.random.default_rng(22).normal(size=(3, 2, 8, 16)).astype(np.float32))
     z = enc.forward(x)
-    loss = T.tsum(T.mul(z, z))
+    return T.tsum(T.mul(z, z)), enc
+
+
+def test_backward_leaves_no_shared_buffers():
+    loss, _ = _encoder_graph()
     nodes = _graph(loss)
     data_before = [n.data.copy() for n in nodes]
     loss.backward()
@@ -505,6 +510,54 @@ def test_backward_leaves_no_shared_buffers():
         assert (n.grad is None) == (want is None)
         if want is not None:
             assert _same_bytes(n.grad, want)
+
+
+def test_second_backward_accumulates_exactly_twice():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    y = T.mul(x, 3.0)
+    z = T.tsum(T.mul(y, y))               # dz/dx = 18x
+    z.backward()
+    assert np.array_equal(x.grad, [18.0, 36.0])
+    z.backward()
+    assert np.array_equal(x.grad, [36.0, 72.0])
+
+
+def _backward_keeping_grads(self):
+    """Tensor.backward with no release: every node keeps its .grad."""
+    topo, seen = [], set()
+
+    def visit(node):
+        if id(node) not in seen:
+            seen.add(id(node))
+            for p in node._parents:
+                visit(p)
+            topo.append(node)
+
+    visit(self)
+    self.grad = np.ones_like(self.data)
+    for node in reversed(topo):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
+def test_backward_releases_consumed_grads_only(monkeypatch):
+    loss, enc = _encoder_graph()
+    nodes = _graph(loss)
+    loss.backward()
+    assert all(n.grad is None for n in nodes if n._backward is not None)
+    got = [n.grad for n in nodes if n._backward is None]
+    assert sum(g is not None for g in got) == len(enc.params)
+    monkeypatch.setattr(Tensor, "backward", _backward_keeping_grads)
+    loss, _ = _encoder_graph()
+    nodes = _graph(loss)
+    loss.backward()
+    assert all(n.grad is not None for n in nodes if n._backward is not None)
+    want = [n.grad for n in nodes if n._backward is None]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert _same_bytes(g, w)
 
 
 @pytest.mark.parametrize("owned", [False, True])

@@ -109,6 +109,18 @@ def test_epoch_metrics_and_tail_handling(mini_dataset):
     assert math.isfinite(m["train_loss"]) and 0.0 <= m["train_retrieval"] <= 1.0
 
 
+def test_epoch_holds_one_step_at_a_time(mini_dataset, traced_peak):
+    # a later step's forward must not start while an earlier step's graph
+    # is alive, so three steps peak no higher than one
+    cfg = dataclasses.replace(pretrain_config(load_config("desk")), batch_size=16)
+    peaks = []
+    for steps in (1, 3):
+        state = make_state(cfg)
+        pairs = train_pairs(mini_dataset, 16 * steps)
+        peaks.append(traced_peak(lambda: P.pretrain_epoch(state, pairs)))
+    assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
 def test_training_reduces_loss(mini_dataset):
     state = make_state()
     pairs = train_pairs(mini_dataset)
