@@ -12,7 +12,8 @@ imported here, so `python -m mimoclr.cli` runs it only once).
 from . import chanmodel, config, datapipe, finetune, nncore, pretrain, sigproc
 from .chanmodel import (ArrayGeometry, ChannelSample, Codebook, PathParams,
                         ScenarioConfig, beam_powers, build_codebook, generate_scenario,
-                        optimal_beam, steering_vector, synthesize_cir, synthesize_csi)
+                        optimal_beam, steering_vector, steering_vectors, synthesize_cir,
+                        synthesize_csi)
 from .datapipe import (Dataset, build_dataset, open_dataset, split_dataset, stratified_cap,
                        write_dataset)
 from .errors import (ConfigError, ContractError, DataError, DegenerateDataError,

@@ -82,18 +82,37 @@ class Codebook:
         return self.vectors.shape[1]
 
 
-def steering_vector(geom: ArrayGeometry, az: float, el: float) -> np.ndarray:
-    """UPA array response toward (az, el), flattened row-major, unit norm.
+def steering_vectors(geom: ArrayGeometry, az, el) -> np.ndarray:
+    """UPA array responses toward the directions (az[i], el[i]), one
+    unit-norm row each, flattened row-major: shape [len(az), n_elements].
 
     Element (r, c) gets phase 2*pi*spacing*(r*sin(el) + c*cos(el)*sin(az)).
+    Every row is computed elementwise, so it does not depend on the others.
     """
-    if not (np.isfinite(az) and np.isfinite(el)):
+    az = np.asarray(az, dtype=float).reshape(-1, 1, 1)
+    el = np.asarray(el, dtype=float).reshape(-1, 1, 1)
+    if az.shape != el.shape:
+        raise ContractError(f"got {az.shape[0]} azimuths for {el.shape[0]} elevations")
+    if not (np.all(np.isfinite(az)) and np.all(np.isfinite(el))):
         raise ContractError("steering angles must be finite")
     r = np.arange(geom.rows)[:, None]
     c = np.arange(geom.cols)[None, :]
     phase = 2.0 * np.pi * geom.spacing * (r * np.sin(el) + c * np.cos(el) * np.sin(az))
     a = np.exp(1j * phase) / np.sqrt(geom.n_elements)
-    return a.reshape(-1)
+    return a.reshape(az.shape[0], geom.n_elements)
+
+
+def steering_vector(geom: ArrayGeometry, az: float, el: float) -> np.ndarray:
+    """UPA array response toward (az, el): the one-row case of steering_vectors."""
+    return steering_vectors(geom, [az], [el])[0]
+
+
+def _path_steering(sample: ChannelSample, tx: ArrayGeometry, rx: ArrayGeometry):
+    """Arrival rows [P, n_rx] and departure rows [P, n_tx] of all paths."""
+    paths = sample.paths
+    a_rx = steering_vectors(rx, [p.aoa_az for p in paths], [p.aoa_el for p in paths])
+    a_tx = steering_vectors(tx, [p.aod_az for p in paths], [p.aod_el for p in paths])
+    return a_rx, a_tx
 
 
 def build_codebook(geom: ArrayGeometry, n_beams: int) -> Codebook:
@@ -120,45 +139,47 @@ def synthesize_cir(sample: ChannelSample, tx: ArrayGeometry, rx: ArrayGeometry,
     h[:, :, t] = sum over paths with delay_tap == t of
                  gain * a_rx(aoa) a_tx(aod)^T
     so with unit-norm steering vectors the tensor energy equals the summed
-    |gain|^2 whenever the taps are distinct.
+    |gain|^2 whenever the taps are distinct.  Paths are added one at a time
+    in their stored order: these are the bytes a dataset stores.
     """
+    a_rx, a_tx = _path_steering(sample, tx, rx)
     h = np.zeros((rx.n_elements, tx.n_elements, n_taps), dtype=np.complex128)
     for k, p in enumerate(sample.paths):
         if not 0 <= p.delay_tap < n_taps:
             raise GenerationError(
                 f"path {k} has delay_tap {p.delay_tap} outside the grid [0, {n_taps})"
             )
-        a_rx = steering_vector(rx, p.aoa_az, p.aoa_el)
-        a_tx = steering_vector(tx, p.aod_az, p.aod_el)
-        h[:, :, p.delay_tap] += p.gain * np.outer(a_rx, a_tx)
+        h[:, :, p.delay_tap] += p.gain * np.outer(a_rx[k], a_tx[k])
     return h
 
 
 def synthesize_csi(sample: ChannelSample, tx: ArrayGeometry, rx: ArrayGeometry,
                    n_subcarriers: int) -> np.ndarray:
-    """Frequency-domain channel [n_rx, n_tx, n_sc], built path by path:
+    """Frequency-domain channel [n_rx, n_tx, n_sc]:
 
     H[:, :, k] = sum_paths gain * a_rx a_tx^T * exp(-2j*pi*k*delay_tap/K)
 
-    Identical (to fp precision) to the K-point DFT of synthesize_cir.
+    computed as one [n_rx*n_tx, P] @ [P, K] product of the paths' spatial
+    terms and phase ramps.  Equal (to fp precision) to the K-point DFT of
+    synthesize_cir.
     """
-    k = np.arange(n_subcarriers)
-    H = np.zeros((rx.n_elements, tx.n_elements, n_subcarriers), dtype=np.complex128)
-    for p in sample.paths:
-        a_rx = steering_vector(rx, p.aoa_az, p.aoa_el)
-        a_tx = steering_vector(tx, p.aod_az, p.aod_el)
-        phase = np.exp(-2j * np.pi * k * p.delay_tap / n_subcarriers)
-        H += p.gain * np.outer(a_rx, a_tx)[:, :, None] * phase[None, None, :]
-    return H
+    a_rx, a_tx = _path_steering(sample, tx, rx)
+    gains = np.array([p.gain for p in sample.paths], dtype=np.complex128)
+    taps = np.array([p.delay_tap for p in sample.paths])
+    spatial = gains[:, None, None] * a_rx[:, :, None] * a_tx[:, None, :]
+    ramps = np.exp(-2j * np.pi * np.outer(taps, np.arange(n_subcarriers)) / n_subcarriers)
+    H = spatial.reshape(len(taps), -1).T @ ramps
+    return H.reshape(rx.n_elements, tx.n_elements, n_subcarriers)
 
 
 def beam_powers(csi: np.ndarray, cb: Codebook) -> np.ndarray:
-    """Received power of every beam in the codebook, shape [B]."""
+    """Received power of every beam in the codebook, shape [B]: one batched
+    product projects every rx antenna's CSI onto all beams at once."""
     if csi.shape[1] != cb.vectors.shape[0]:
         raise ContractError(
             f"codebook tx dimension {cb.vectors.shape[0]} does not match CSI {csi.shape}"
         )
-    proj = np.einsum("rtk,tb->rkb", csi, cb.vectors)
+    proj = np.matmul(csi.transpose(0, 2, 1), cb.vectors)
     return np.sum(np.abs(proj) ** 2, axis=(0, 1))
 
 

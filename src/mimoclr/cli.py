@@ -22,6 +22,7 @@ import logging
 import multiprocessing
 import os
 import sys
+import time
 
 import numpy as np
 import yaml
@@ -51,19 +52,22 @@ def cmd_generate(args) -> int:
                        "dataset": {**ds_params, "seed": seed,
                                    "scenarios": [dataclasses.asdict(c) for c in scen_cfgs]}})
 
+    t0 = time.perf_counter()
     scenarios = [(c, chanmodel.generate_scenario(c, seed)) for c in scen_cfgs]
     if ds_params["cap"] is not None:
         keep = datapipe.stratified_cap([len(s) for _, s in scenarios], ds_params["cap"], seed)
         scenarios = [(c, [s[i] for i in idx]) for (c, s), idx in zip(scenarios, keep)]
-
+    t1 = time.perf_counter()
     manifest = datapipe.build_dataset(scenarios, args.out, seed,
                                       ds_params["train_fraction"]).manifest
+    t2 = time.perf_counter()
     n_train = int(np.sum(np.asarray(manifest["split"]) == 1))
     print(f"wrote {manifest['n_records']} records -> {os.path.join(args.out, 'samples.bin')}")
     for c, samples in scenarios:
         print(f"  scenario {c.scenario_id}: {len(samples)} samples")
     print(f"split: {n_train} train / {manifest['n_records'] - n_train} val")
     print(f"records sha256: {manifest['records_sha256']}")
+    print(f"wall time: scenarios {t1 - t0:.2f} s, build_dataset {t2 - t1:.2f} s")
     return 0
 
 

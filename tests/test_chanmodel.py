@@ -5,10 +5,10 @@ oracles implemented here, not from the library code under test."""
 import numpy as np
 import pytest
 
-from mimoclr.chanmodel import (ArrayGeometry, ChannelSample, Codebook, PathParams,
+from mimoclr.chanmodel import (MAX_PATHS, ArrayGeometry, ChannelSample, Codebook, PathParams,
                                ScenarioConfig, beam_powers, build_codebook,
-                               generate_scenario, optimal_beam, scatterer_field, steering_vector, synthesize_cir,
-                               synthesize_csi)
+                               generate_scenario, optimal_beam, scatterer_field, steering_vector,
+                               steering_vectors, synthesize_cir, synthesize_csi)
 from mimoclr.errors import ConfigError, ContractError
 
 
@@ -52,8 +52,8 @@ def best_beam_oracle(csi, cb):
     return int(np.argmax(powers))
 
 
-def random_sample(rng, n_paths=4, n_taps=32):
-    taps = rng.choice(n_taps, size=n_paths, replace=False)
+def random_sample(rng, n_paths=4, n_taps=32, replace=False):
+    taps = rng.choice(n_taps, size=n_paths, replace=replace)
     paths = tuple(
         PathParams(gain=complex(np.float32(rng.normal()), np.float32(rng.normal())),
                    delay_tap=int(t),
@@ -65,6 +65,47 @@ def random_sample(rng, n_paths=4, n_taps=32):
         for i, t in enumerate(taps))
     return ChannelSample(scenario_id=0, ue_position=(10.0, 5.0, 1.5),
                          paths=paths, los_label=True, beam_label=0)
+
+
+# Reference formulas for what a dataset stores: one steering vector per
+# direction and one path at a time.  Stored CIR bytes must equal
+# cir_per_path_oracle exactly, and stored beam labels must equal the einsum
+# sweep of the path-by-path CSI.
+
+def steering_single_oracle(geom, az, el):
+    """The single-direction steering formula, operation for operation."""
+    r = np.arange(geom.rows)[:, None]
+    c = np.arange(geom.cols)[None, :]
+    phase = 2.0 * np.pi * geom.spacing * (r * np.sin(el) + c * np.cos(el) * np.sin(az))
+    a = np.exp(1j * phase) / np.sqrt(geom.n_elements)
+    return a.reshape(-1)
+
+
+def cir_per_path_oracle(sample, tx, rx, n_taps):
+    h = np.zeros((rx.n_elements, tx.n_elements, n_taps), dtype=np.complex128)
+    for p in sample.paths:
+        a_rx = steering_single_oracle(rx, p.aoa_az, p.aoa_el)
+        a_tx = steering_single_oracle(tx, p.aod_az, p.aod_el)
+        h[:, :, p.delay_tap] += p.gain * np.outer(a_rx, a_tx)
+    return h
+
+
+def einsum_label_oracle(sample, tx, rx, n_sc, cb):
+    k = np.arange(n_sc)
+    H = np.zeros((rx.n_elements, tx.n_elements, n_sc), dtype=np.complex128)
+    for p in sample.paths:
+        a_rx = steering_single_oracle(rx, p.aoa_az, p.aoa_el)
+        a_tx = steering_single_oracle(tx, p.aod_az, p.aod_el)
+        phase = np.exp(-2j * np.pi * k * p.delay_tap / n_sc)
+        H += p.gain * np.outer(a_rx, a_tx)[:, :, None] * phase[None, None, :]
+    proj = np.einsum("rtk,tb->rkb", H, cb.vectors)
+    return int(np.argmax(np.sum(np.abs(proj) ** 2, axis=(0, 1))))
+
+
+DESK = dict(tx_geometry=ArrayGeometry(4, 4), rx_geometry=ArrayGeometry(2, 1),
+            n_taps=32, n_subcarriers=64, codebook_size=16)
+PAPER = dict(tx_geometry=ArrayGeometry(8, 8), rx_geometry=ArrayGeometry(2, 2),
+             n_taps=64, n_subcarriers=256, codebook_size=64, bandwidth_hz=2e7)
 
 
 # ---------------------------------------------------------------- geometry
@@ -105,6 +146,43 @@ def test_steering_matches_loop_oracle():
 def test_steering_rejects_nonfinite():
     with pytest.raises(ContractError):
         steering_vector(ArrayGeometry(2, 2), np.nan, 0.0)
+
+
+# At spacing 0.5 a regrouped spacing factor scales by a power of two, which is
+# exact, so only the 0.37 array sees that operation order.
+@pytest.mark.parametrize("geom", [ArrayGeometry(4, 4), ArrayGeometry(2, 1),
+                                  ArrayGeometry(8, 8), ArrayGeometry(2, 2),
+                                  ArrayGeometry(3, 5, spacing=0.37)],
+                         ids=["desk-tx", "desk-rx", "paper-tx", "paper-rx", "odd-spacing"])
+@pytest.mark.parametrize("n", [1, 2, 7, MAX_PATHS])
+def test_steering_rows_bit_equal_single_calls(geom, n):
+    # Each row must be the single-direction bits wherever it sits in the
+    # batch: stored CIRs are built from these rows.
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(10):
+        az = np.float32(rng.uniform(-np.pi, np.pi, n)).astype(float)
+        el = np.float32(rng.uniform(-np.pi / 2, np.pi / 2, n)).astype(float)
+        az[0] = 0.0
+        el[-1] = np.pi / 2
+        if n > 2:
+            el[1] = -np.pi / 2
+        rows = steering_vectors(geom, az, el)
+        assert rows.shape == (n, geom.n_elements)
+        for i in range(n):
+            one = steering_vector(geom, float(az[i]), float(el[i]))
+            assert rows[i].tobytes() == one.tobytes()
+            assert rows[i].tobytes() == steering_single_oracle(geom, az[i], el[i]).tobytes()
+
+
+def test_steering_rows_reject_nonfinite():
+    geom = ArrayGeometry(2, 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ContractError):
+            steering_vectors(geom, [0.1, bad, 0.3], [0.0, 0.0, 0.0])
+        with pytest.raises(ContractError):
+            steering_vectors(geom, [0.1, 0.2, 0.3], [0.0, 0.0, bad])
+    with pytest.raises(ContractError):
+        steering_vectors(geom, [0.1, 0.2], [0.0])
 
 
 # ---------------------------------------------------------------- codebook
@@ -166,33 +244,59 @@ def test_cir_rejects_out_of_grid_tap():
 
 
 def test_csi_equals_dft_of_cir():
-    # frequency-domain synthesis vs an explicit two-index DFT loop of the CIR
+    # frequency-domain synthesis vs an explicit two-index DFT loop of the CIR,
+    # at desk and at paper geometry (BLAS takes other kernels at each)
     rng = np.random.default_rng(11)
-    tx, rx, n_taps, n_sc = ArrayGeometry(4, 4), ArrayGeometry(2, 1), 32, 64
-    for _ in range(5):
-        s = random_sample(rng, n_paths=int(rng.integers(1, 8)), n_taps=n_taps)
-        cir = synthesize_cir(s, tx, rx, n_taps)
-        csi = synthesize_csi(s, tx, rx, n_sc)
-        want = np.zeros((2, 16, n_sc), dtype=complex)
-        for k in range(n_sc):
-            for t in range(n_taps):
-                want[:, :, k] += cir[:, :, t] * np.exp(-2j * np.pi * k * t / n_sc)
-        assert np.max(np.abs(csi - want)) < 1e-9
+    for geo, n_samples in ((DESK, 5), (PAPER, 3)):
+        tx, rx = geo["tx_geometry"], geo["rx_geometry"]
+        n_taps, n_sc = geo["n_taps"], geo["n_subcarriers"]
+        for _ in range(n_samples):
+            s = random_sample(rng, n_paths=int(rng.integers(1, 8)), n_taps=n_taps)
+            cir = synthesize_cir(s, tx, rx, n_taps)
+            csi = synthesize_csi(s, tx, rx, n_sc)
+            want = np.zeros((rx.n_elements, tx.n_elements, n_sc), dtype=complex)
+            for k in range(n_sc):
+                for t in range(n_taps):
+                    want[:, :, k] += cir[:, :, t] * np.exp(-2j * np.pi * k * t / n_sc)
+            assert np.max(np.abs(csi - want)) < 1e-9
+
+
+@pytest.mark.parametrize("geo", [DESK, PAPER], ids=["desk", "paper"])
+def test_cir_bit_equal_per_path_oracle(geo):
+    tx, rx, n_taps = geo["tx_geometry"], geo["rx_geometry"], geo["n_taps"]
+    samples = generate_scenario(ScenarioConfig(scenario_id=3, n_ue=50, **geo), seed=4)
+    # Many paths on few taps, so the order in which paths are added shows.
+    rng = np.random.default_rng(23)
+    samples += [random_sample(rng, n_paths=MAX_PATHS, n_taps=3, replace=True)
+                for _ in range(10)]
+    for s in samples:
+        got = synthesize_cir(s, tx, rx, n_taps)
+        assert got.tobytes() == cir_per_path_oracle(s, tx, rx, n_taps).tobytes()
+
+
+@pytest.mark.parametrize("geo", [DESK, PAPER], ids=["desk", "paper"])
+def test_generated_labels_equal_einsum_oracle(geo):
+    cfg = ScenarioConfig(scenario_id=1, n_ue=50, **geo)
+    cb = build_codebook(cfg.tx_geometry, cfg.codebook_size)
+    for s in generate_scenario(cfg, seed=8):
+        assert s.beam_label == einsum_label_oracle(s, cfg.tx_geometry, cfg.rx_geometry,
+                                                   cfg.n_subcarriers, cb)
 
 
 # ---------------------------------------------------------------- beams
 
 def test_beam_powers_and_optimal_match_brute_force():
     rng = np.random.default_rng(19)
-    tx, rx = ArrayGeometry(4, 4), ArrayGeometry(2, 1)
-    cb = build_codebook(tx, 16)
-    for _ in range(20):
-        s = random_sample(rng, n_paths=int(rng.integers(1, 8)))
-        csi = synthesize_csi(s, tx, rx, 64)
-        powers = beam_powers(csi, cb)
-        want = np.array([beam_power_oracle(csi, cb.vectors[:, b]) for b in range(16)])
-        assert np.allclose(powers, want, rtol=1e-12)
-        assert optimal_beam(csi, cb) == int(np.argmax(want))
+    for geo, n_samples in ((DESK, 20), (PAPER, 4)):
+        tx, rx, n_beams = geo["tx_geometry"], geo["rx_geometry"], geo["codebook_size"]
+        cb = build_codebook(tx, n_beams)
+        for _ in range(n_samples):
+            s = random_sample(rng, n_paths=int(rng.integers(1, 8)), n_taps=geo["n_taps"])
+            csi = synthesize_csi(s, tx, rx, geo["n_subcarriers"])
+            powers = beam_powers(csi, cb)
+            want = np.array([beam_power_oracle(csi, cb.vectors[:, b]) for b in range(n_beams)])
+            assert np.allclose(powers, want, rtol=1e-12)
+            assert optimal_beam(csi, cb) == int(np.argmax(want))
 
 
 def test_optimal_beam_tie_breaks_low():

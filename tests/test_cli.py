@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -60,7 +61,10 @@ def test_generate_outputs(work, capsys):
     assert "wrote 80 records" in out
     assert "scenario 0: 40 samples" in out
     assert "split: 64 train / 16 val" in out
-    assert "records sha256:" in out
+    lines = out.splitlines()
+    sha_at = next(i for i, line in enumerate(lines) if line.startswith("records sha256: "))
+    assert re.fullmatch(r"wall time: scenarios \d+\.\d\d s, build_dataset \d+\.\d\d s",
+                        lines[sha_at + 1])
     # same config, same seed: byte-identical dataset
     a = open(work["root"] / "data" / "samples.bin", "rb").read()
     b = open(work["root"] / "data2" / "samples.bin", "rb").read()
