@@ -204,6 +204,15 @@ def cmd_report(args) -> int:
     return 0
 
 
+def count(text: str) -> int:
+    """argparse type of a count flag: an integer of at least 1, so a zero
+    count exits 2 before any work instead of silently doing nothing."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mimoclr",
@@ -225,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--config", required=True)
     q.add_argument("--out", required=True, help="run directory for checkpoint + metrics")
     q.add_argument("--seed", type=int, help="override pretrain.seed")
-    q.add_argument("--epochs", type=int, help="cap the epoch count")
+    q.add_argument("--epochs", type=count, help="cap the epoch count")
     q.add_argument("--resume", action="store_true", help="continue from the checkpoint in --out")
     q.set_defaults(fn=cmd_pretrain)
 
@@ -240,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--checkpoint", help="pretraining checkpoint (for pretrained/probe)")
     f.add_argument("--labels", type=int, help="label budget (0 = full training split)")
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--seeds", type=int, default=1, help="run this many consecutive seeds")
-    f.add_argument("--jobs", type=int, default=1, help="parallel workers across seeds")
-    f.add_argument("--epochs", type=int)
+    f.add_argument("--seeds", type=count, default=1, help="run this many consecutive seeds")
+    f.add_argument("--jobs", type=count, default=1, help="parallel workers across seeds")
+    f.add_argument("--epochs", type=count)
     f.set_defaults(fn=cmd_finetune)
 
     r = sub.add_parser("report", help="comparison tables from run artifacts")

@@ -341,23 +341,10 @@ def load_batch(dataset: Dataset, indices, modality: str, task=None):
     return x, labels
 
 
-class _ShapedRecords:
-    """Re-iterable view of shaped float64 [2, P, K] records, rebuilt block
-    by block on each pass, so a two-pass fit never holds the whole split."""
-
-    def __init__(self, dataset: Dataset, indices: np.ndarray, modality: str):
-        self._args = (dataset, indices, modality)
-
-    def __iter__(self):
-        n_bins = self._args[0].n_subcarriers
-        for _, tensor in _blocks(*self._args):
-            yield from shape_input(tensor, n_bins=n_bins)
-
-
 def fit_split_stats(dataset: Dataset, indices, modality: str) -> NormStats:
     """Fit normalization statistics over training-split records only;
     passing a validation record is a contract violation (statistics must
-    never see held-out data).  The fit streams the records in loader
+    never see held-out data).  The fit reads the records once, in loader
     blocks, one record at a time, so its sums run in record order."""
     indices = _checked_indices(dataset, indices)
     flags = dataset.split_flags()
@@ -366,7 +353,8 @@ def fit_split_stats(dataset: Dataset, indices, modality: str) -> NormStats:
         raise ContractError(
             f"normalization stats must be fit on the training split; "
             f"got validation record(s) {bad[:5].tolist()}")
-    return fit_norm_stats(_ShapedRecords(dataset, indices, modality))
+    return fit_norm_stats(row for _, tensor in _blocks(dataset, indices, modality)
+                          for row in shape_input(tensor, n_bins=dataset.n_subcarriers))
 
 
 def attach_norm_stats(manifest: dict, dataset: Dataset) -> dict:

@@ -59,14 +59,14 @@ class TaskSpec:
         return "mean_error_m" if self.kind == "positioning" else "accuracy"
 
 
-def make_task_spec(kind: str, dataset: Dataset, coordinate_dim: int = 2) -> TaskSpec:
+def make_task_spec(kind: str, dataset: Dataset) -> TaskSpec:
+    """Positioning regresses the x and y coordinates: every UE sits at the
+    scenario's ue_height, so z carries no signal."""
     canonical = KIND_ALIASES.get(kind)
     if canonical is None:
         raise ConfigError(f"unknown task '{kind}' (expected one of {sorted(set(KIND_ALIASES))})")
     if canonical == "positioning":
-        if coordinate_dim not in (2, 3):
-            raise ConfigError(f"coordinate_dim must be 2 or 3, got {coordinate_dim}")
-        return TaskSpec(canonical, coordinate_dim)
+        return TaskSpec(canonical, 2)
     if canonical == "beam_management":
         return TaskSpec(canonical, int(dataset.manifest["codebook"]["n_beams"]))
     return TaskSpec(canonical, 2)
@@ -80,7 +80,6 @@ class FinetuneConfig:
     epochs: int = 40
     label_budget: int = 0          # 0 = use the full training split
     head_hidden: int = 64
-    coordinate_dim: int = 2
 
     def validated(self) -> "FinetuneConfig":
         if self.batch_size < 1 or self.epochs < 1 or self.head_hidden < 1:
@@ -121,16 +120,17 @@ def init_finetune_run(dataset: Dataset, task_kind: str, init_mode: str, seed: in
                       config: FinetuneConfig, arch: PretrainConfig,
                       checkpoint_path=None) -> FinetuneRun:
     """Build a run whose encoder has the architecture `arch` declares;
-    `pretrained` loads the frequency-view encoder from a checkpoint (its
-    architecture must match), `probe` loads it the same way and freezes it
-    so only the head trains, `scratch` draws a fresh seed-determined init."""
+    `pretrained` loads the frequency-view encoder of a checkpoint's
+    lowest-holdout-loss epoch (its architecture must match), `probe` loads
+    it the same way and freezes it so only the head trains, `scratch` draws
+    a fresh seed-determined init."""
     config = config.validated()
-    task = make_task_spec(task_kind, dataset, config.coordinate_dim)
+    task = make_task_spec(task_kind, dataset)
     enc_cfg = arch.encoder_config(dataset.n_rx * dataset.n_tx, dataset.n_subcarriers)
     if init_mode in ("pretrained", "probe"):
         if checkpoint_path is None:
             raise ConfigError(f"{init_mode} init needs a checkpoint path")
-        pre_state, _ = load_pretrain_state(checkpoint_path)
+        pre_state = load_pretrain_state(checkpoint_path)[0].restore_best()
         if pre_state.encoder_config != enc_cfg:
             raise ConfigError(
                 f"checkpoint encoder {pre_state.encoder_config} does not match "
@@ -187,13 +187,7 @@ def _predict(run: FinetuneRun, x: np.ndarray, chunk: int = FORWARD_CHUNK) -> np.
     keep the im2col buffers small enough for the allocator to reuse them
     (see pretrain.FORWARD_CHUNK)."""
     with no_grad():
-        if run.freeze_encoder:
-            z = encode_batch(run.encoder, x, chunk)
-            return run.head.forward(Tensor(z)).data
-        outs = []
-        for lo in range(0, x.shape[0], chunk):
-            outs.append(_forward(run, x[lo:lo + chunk]).data)
-        return np.concatenate(outs, axis=0)
+        return run.head.forward(Tensor(encode_batch(run.encoder, x, chunk))).data
 
 
 def _val_loss(run: FinetuneRun, x_val, y_val) -> tuple:

@@ -5,8 +5,9 @@ frequency view (anchor side) and the delay view of each sample; the batch
 alignment loss with a learnable temperature pulls matched pairs together
 against in-batch negatives.  Training tracks in-batch retrieval (does each
 anchor rank its own pair first?) as the pretext diagnostic, cuts the
-learning rate on validation plateaus, early-stops, and checkpoints every
-epoch so a run can resume bit-identically.
+learning rate on holdout plateaus, early-stops, hands on the parameters of
+the epoch with the lowest holdout loss, and checkpoints every epoch so a
+run can resume bit-identically.
 """
 
 import dataclasses
@@ -107,6 +108,7 @@ class PretrainState:
     epoch: int = 0
     best_val_loss: float = math.inf
     val_history: list = dataclasses.field(default_factory=list)
+    best_params: dict = None       # parameter arrays of the best_val_loss epoch
 
     def tau(self) -> float:
         return float(np.exp(self.log_tau.data))
@@ -116,6 +118,15 @@ class PretrainState:
         p.update(prefixed(self.cir_encoder.params, "cir."))
         p["log_tau"] = self.log_tau
         return p
+
+    def restore_best(self) -> "PretrainState":
+        """Set the parameters to the lowest-holdout-loss epoch's, when one is
+        recorded: the holdout loss can swing several-fold between neighbouring
+        epochs (desk: 0.39, 0.90, 0.61, 0.37), so the last epoch is a draw."""
+        if self.best_params is not None:
+            for name, p in self.parameters().items():
+                p.data = np.array(self.best_params[name], dtype=p.data.dtype).reshape(p.data.shape)
+        return self
 
 
 @dataclasses.dataclass
@@ -287,6 +298,7 @@ def save_pretrain_checkpoint(state: PretrainState, path: str) -> None:
     }
     tensors = {k: p.data for k, p in state.parameters().items()}
     tensors.update(state.optimizer.state_arrays())
+    tensors.update(prefixed(state.best_params or {}, "best."))
     ckpt.save_checkpoint(path, meta, tensors)
 
 
@@ -300,6 +312,8 @@ def load_pretrain_state(path: str):
     state = init_pretrain_state(config, ec["in_height"], ec["in_width"])
     for name, p in state.parameters().items():
         p.data = np.array(tensors[name], dtype=np.float32).reshape(p.data.shape)
+    state.best_params = {k.removeprefix("best."): v for k, v in tensors.items()
+                         if k.startswith("best.")} or None
     state.optimizer.load_state_arrays(tensors, meta["opt_t"])
     state.optimizer.lr = float(meta["lr"])
     state.schedule = LRPlateau.from_state(meta["schedule"])
@@ -312,9 +326,11 @@ def load_pretrain_state(path: str):
 
 def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
                     resume: bool = False, max_epochs=None) -> tuple:
-    """Train to early stop or the epoch cap; returns (state, metrics rows).
+    """Train to early stop or the epoch cap; returns (state, metrics rows),
+    the state holding the parameters of the lowest-holdout-loss epoch.
 
-    Writes `pretrain.ckpt` (every epoch, atomically) and
+    Writes `pretrain.ckpt` (every epoch, atomically: the last epoch's
+    training state, plus the best epoch's parameters under `best.`) and
     `pretrain_metrics.jsonl` (one record per epoch) under out_dir.  With
     resume=True training continues from the checkpoint and reproduces the
     exact trace an uninterrupted run would have produced.  A resume must
@@ -369,6 +385,7 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
             state.val_history.append(val_loss)
             if val_loss < state.best_val_loss:
                 state.best_val_loss = val_loss
+                state.best_params = {k: p.data.copy() for k, p in state.parameters().items()}
             row = {"epoch": state.epoch, "train_loss": em["train_loss"],
                    "val_loss": val_loss, "retrieval": val_ret,
                    "train_retrieval": em["train_retrieval"],
@@ -381,4 +398,4 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
                 log.info("early stop at epoch %d (stale %d > patience %d)",
                          state.epoch, state.schedule.stale, config.patience)
                 break
-    return state, rows
+    return state.restore_best(), rows

@@ -73,36 +73,41 @@ class NormStats:
 
 
 def fit_norm_stats(shaped_inputs) -> NormStats:
-    """Two-pass fit over an iterable of shaped [2, P, K] arrays.
+    """One-pass fit over an iterable of shaped [2, P, K] arrays (an ndarray
+    iterates its records), read once, one record at a time, in order.
 
-    Pass one finds the global min/max; pass two the mean/std of the scaled
-    values.  The iterable must be re-iterable (a list or a factory-backed
-    view) and must contain only training-split samples.
+    Each record's count, min, max, mean and centred sum of squares M2 are
+    merged into the running ones (Chan, Golub & LeVeque 1979).  Min-max
+    scaling is affine, so the scaled mean and std follow from the raw ones:
+    (mean - vmin) / (vmax - vmin) and sqrt(M2 / n) / (vmax - vmin).  The
+    records must all be training-split samples.
     """
     vmin = np.inf
     vmax = -np.inf
     count = 0
+    mean = 0.0
+    m2 = 0.0
+    centred = None      # one scratch record, reused: no per-record temporaries
     for x in shaped_inputs:
-        vmin = min(vmin, float(np.min(x)))
-        vmax = max(vmax, float(np.max(x)))
-        count += x.size
+        x = np.asarray(x, dtype=np.float64)
+        if centred is None or centred.shape != x.shape:
+            centred = np.empty(x.shape, dtype=np.float64)
+        x_mean = float(x.mean())
+        delta = x_mean - mean
+        total = count + x.size
+        mean += delta * x.size / total
+        np.square(np.subtract(x, x_mean, out=centred), out=centred)
+        m2 += float(centred.sum()) + delta * delta * count * x.size / total
+        count = total
+        vmin = min(vmin, float(x.min()))
+        vmax = max(vmax, float(x.max()))
     if count == 0:
         raise ContractError("cannot fit statistics on an empty training split")
     if not vmax > vmin:
         raise DegenerateDataError(f"constant data: min == max == {vmin}")
-
     scale = vmax - vmin
-    total = 0.0
-    total_sq = 0.0
-    for x in shaped_inputs:
-        scaled = (np.asarray(x, dtype=np.float64) - vmin) / scale
-        total += float(scaled.sum())
-        total_sq += float(np.sum(scaled * scaled))
-    mean = total / count
-    var = total_sq / count - mean * mean
-    if var <= 0:
-        raise DegenerateDataError("zero variance after min-max scaling")
-    return NormStats(vmin=vmin, vmax=vmax, mean=mean, std=float(np.sqrt(var)))
+    return NormStats(vmin=vmin, vmax=vmax, mean=(mean - vmin) / scale,
+                     std=float(np.sqrt(m2 / count)) / scale)
 
 
 def normalize(x: np.ndarray, stats: NormStats) -> np.ndarray:

@@ -167,6 +167,28 @@ def test_pretrain_resume_with_changed_seed_exits_config(work, tmp_path, capsys):
     assert open(out_dir / "pretrain_metrics.jsonl").read() == before
 
 
+def _zero_count_exit(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert f"{flag}: must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_pretrain_zero_epochs_exits_config_before_work(work, tmp_path, capsys):
+    out = tmp_path / "pre0"
+    _zero_count_exit(["pretrain", work["data"], "--config", work["config"],
+                      "--out", str(out), "--epochs", "0"], "--epochs", capsys)
+    assert not out.exists()
+
+
+def test_finetune_zero_seeds_exits_config_before_work(work, tmp_path, capsys):
+    out = tmp_path / "ft0"
+    _zero_count_exit(["finetune", work["data"], "--config", work["config"], "--task", "los",
+                      "--init", "scratch", "--seeds", "0", "--out", str(out)],
+                     "--seeds", capsys)
+    assert not out.exists()
+
+
 def test_finetune_writes_paired_artifacts(work, capsys):
     out = work["root"] / "ft_ci"
     for init in ("scratch", "pretrained"):

@@ -332,6 +332,22 @@ def test_streamed_stat_fit_equals_full_array_fit(mini_dataset, modality):
     assert datapipe.fit_split_stats(mini_dataset, train, modality) == want
 
 
+def test_attach_norm_stats_ffts_each_training_block_once(mini_dataset, monkeypatch):
+    calls = []
+    original = datapipe.cir_to_csi
+
+    def counting(cir, n_subcarriers):
+        calls.append(cir.shape[0])
+        return original(cir, n_subcarriers)
+
+    before = dict(mini_dataset.manifest["norm_stats"])
+    monkeypatch.setattr(datapipe, "cir_to_csi", counting)
+    datapipe.attach_norm_stats({}, mini_dataset)
+    n_train, step = len(mini_dataset.train_indices()), datapipe._block_records(mini_dataset)
+    assert len(calls) == -(-n_train // step) and sum(calls) == n_train
+    assert mini_dataset.manifest["norm_stats"] == before
+
+
 def test_stat_fitting_rejects_validation_records(tmp_path):
     ds, _, _, _ = build_dataset(tmp_path, stats=False)
     val = ds.val_indices()

@@ -41,11 +41,11 @@ def test_task_specs(mini_dataset):
     pos = F.make_task_spec("pos", mini_dataset)
     assert pos.kind == "positioning" and pos.out_dim == 2
     assert not pos.is_classification and pos.metric_name == "mean_error_m"
-    assert F.make_task_spec("positioning", mini_dataset, coordinate_dim=3).out_dim == 3
+    assert F.make_task_spec("positioning", mini_dataset) == pos
     with pytest.raises(ConfigError):
         F.make_task_spec("detection", mini_dataset)
-    with pytest.raises(ConfigError):
-        F.make_task_spec("pos", mini_dataset, coordinate_dim=4)
+    with pytest.raises(ConfigError, match="coordinate_dim"):
+        F.FinetuneConfig.from_dict({"coordinate_dim": 2})
 
 
 def test_head_init_identical_across_init_modes(mini_dataset, mini_checkpoint):

@@ -8,9 +8,10 @@ import os
 import numpy as np
 import pytest
 
-from mimoclr import pretrain as P
+from mimoclr import finetune as F, pretrain as P
 from mimoclr.config import load_config, pretrain_config
 from mimoclr.errors import ConfigError, ContractError
+from mimoclr.nncore.layers import prefixed
 from mimoclr.nncore.tensor import Tensor
 from mimoclr.rngstream import stream
 
@@ -218,6 +219,31 @@ def test_resume_reproduces_uninterrupted_run(mini_dataset, tmp_path):
         open(b_dir / "pretrain_metrics.jsonl").read()
     assert open(a_dir / "pretrain.ckpt", "rb").read() == \
         open(b_dir / "pretrain.ckpt", "rb").read()
+
+
+def test_run_hands_on_the_lowest_holdout_loss_epoch(mini_dataset, tmp_path):
+    # a high rate and small batches make the holdout loss swing, so the
+    # last epoch is not the best one
+    cfg = dataclasses.replace(SMALL, lr=1e-2, batch_size=8, max_epochs=8)
+    state, rows = P.run_pretraining(mini_dataset, cfg, str(tmp_path / "full"))
+    best = min(rows, key=lambda r: r["val_loss"])["epoch"]
+    assert best < len(rows) == state.epoch
+    at_best, _ = P.run_pretraining(mini_dataset, cfg, str(tmp_path / "cut"), max_epochs=best)
+    want = {k: p.data for k, p in at_best.parameters().items()}
+
+    def assert_best(params):
+        for k, p in params.items():
+            assert np.array_equal(p.data, want[k]), k
+
+    assert_best(state.parameters())
+    # the checkpoint resumes from the last epoch and fine-tunes from the best
+    ckpt_path = str(tmp_path / "full" / "pretrain.ckpt")
+    loaded, _ = P.load_pretrain_state(ckpt_path)
+    assert loaded.epoch == len(rows)
+    assert_best(loaded.restore_best().parameters())
+    run = F.init_finetune_run(mini_dataset, "los", "pretrained", 0, F.FinetuneConfig(), cfg,
+                              checkpoint_path=ckpt_path)
+    assert_best(prefixed(run.encoder.params, "csi."))
 
 
 def test_failed_resume_write_keeps_metrics_history(mini_dataset, tmp_path, monkeypatch):

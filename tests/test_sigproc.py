@@ -119,6 +119,11 @@ def test_fit_norm_stats_matches_oracle():
     assert s.std == pytest.approx(std, rel=1e-12)
 
 
+def test_fit_norm_stats_reads_a_one_shot_iterator():
+    records = list(np.random.default_rng(7).normal(size=(6, 2, 3, 4)) * 2.0 - 0.5)
+    assert fit_norm_stats(x for x in records) == fit_norm_stats(records)
+
+
 def test_normalize_output_is_standardized():
     rng = np.random.default_rng(5)
     batch = rng.normal(size=(50, 2, 4, 8)) * 7.0 - 2.0
