@@ -140,11 +140,22 @@ def cmd_report(args) -> int:
             raise DataError(f"cannot read run artifact {path}: {e}") from e
     _echo("report", {"n_artifacts": len(artifacts)})
 
-    by_task = {}
-    for a in artifacts:
+    # A task's table pairs one run of each init per seed at one label
+    # budget; anything else would drop a run or pair runs given other labels.
+    by_task, seen = {}, {}
+    for path, a in zip(args.artifacts, artifacts):
         if a.get("kind") != "finetune":
             raise DataError(f"not a fine-tuning artifact: {a.get('kind')!r}")
-        by_task.setdefault(a["task"], []).append(a)
+        runs = by_task.setdefault(a["task"], [])
+        if runs and a["label_budget"] != runs[0]["label_budget"]:
+            raise DataError(f"{a['task']} runs have label budgets {runs[0]['label_budget']} "
+                            f"and {a['label_budget']} ({path}); report one budget per task")
+        key = (a["task"], a["init"], a["seed"])
+        if key in seen:
+            raise DataError(f"{seen[key]} and {path} are both the {key[0]} {key[1]} run "
+                            f"of seed {key[2]}")
+        seen[key] = path
+        runs.append(a)
 
     report = {"tasks": {}}
     lines = []
@@ -179,7 +190,8 @@ def cmd_report(args) -> int:
         report["tasks"][task] = {"metric": metric_name, "rows": rows, "median": med}
 
         direction = "lower is better" if metric_name == "mean_error_m" else "higher is better"
-        lines.append(f"== {task} ({metric_name}; {direction}) ==")
+        labels = runs[0]["label_budget"] or "full training split"
+        lines.append(f"== {task} ({metric_name}; {direction}; labels: {labels}) ==")
         header = f"{'seed':>6} {'scratch':>12} {'pretrained':>12} {'probe':>12} {'improvement':>12}"
         lines.append(header)
         for row in rows:

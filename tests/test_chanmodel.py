@@ -5,6 +5,7 @@ oracles implemented here, not from the library code under test."""
 import numpy as np
 import pytest
 
+from mimoclr import chanmodel
 from mimoclr.chanmodel import (MAX_PATHS, ArrayGeometry, ChannelSample, Codebook, PathParams,
                                ScenarioConfig, beam_powers, build_codebook,
                                generate_scenario, optimal_beam, scatterer_field, steering_vector,
@@ -284,6 +285,37 @@ def test_generated_labels_equal_einsum_oracle(geo):
 
 
 # ---------------------------------------------------------------- beams
+
+@pytest.mark.parametrize("geo", [DESK, PAPER], ids=["desk", "paper"])
+def test_tap_sweep_is_csi_sweep_over_k(geo):
+    # Parseval: over the K subcarriers a beam collects K times its power over
+    # the taps, and only taps that carry a path hold any.  Many paths on
+    # three taps cover paths that add coherently on one tap.
+    tx, rx, n_taps, k = (geo["tx_geometry"], geo["rx_geometry"], geo["n_taps"],
+                         geo["n_subcarriers"])
+    cb = build_codebook(tx, geo["codebook_size"])
+    rng = np.random.default_rng(29)
+    samples = [random_sample(rng, n_paths=int(rng.integers(1, 8)), n_taps=n_taps)
+               for _ in range(10)]
+    samples += [random_sample(rng, n_paths=MAX_PATHS, n_taps=3, replace=True)
+                for _ in range(10)]
+    samples += generate_scenario(ScenarioConfig(scenario_id=2, n_ue=20, **geo), seed=6)
+    for s in samples:
+        cir = synthesize_cir(s, tx, rx, n_taps)
+        want = beam_powers(synthesize_csi(s, tx, rx, k), cb)
+        assert np.max(np.abs(beam_powers(cir, cb) * k - want)) <= 1e-12 * want.max()
+        occupied = cir[:, :, sorted({p.delay_tap for p in s.paths})]
+        assert optimal_beam(occupied, cb) == int(np.argmax(want))
+
+
+def test_generate_builds_no_csi(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate_scenario synthesized a CSI")
+    monkeypatch.setattr(chanmodel, "synthesize_csi", refuse)
+    for geo in (DESK, PAPER):
+        samples = generate_scenario(ScenarioConfig(scenario_id=0, n_ue=5, **geo), seed=3)
+        assert len(samples) == 5
+
 
 def test_beam_powers_and_optimal_match_brute_force():
     rng = np.random.default_rng(19)

@@ -322,7 +322,8 @@ def test_report_table_and_json(work, capsys):
     rc = main(["report", *arts, "--json", str(json_path)])
     text = capsys.readouterr().out
     assert rc == 0
-    assert "== channel_identification (accuracy; higher is better) ==" in text
+    assert ("== channel_identification (accuracy; higher is better; "
+            "labels: full training split) ==") in text
     assert "median" in text and "%" in text
     rep = json.load(open(json_path))
     task = rep["tasks"]["channel_identification"]
@@ -342,6 +343,33 @@ def test_report_missing_pair_marked_absent(work, capsys):
     row = [l for l in text.splitlines() if l.strip().startswith("0 ")][0]
     cols = row.split()
     assert cols[0] == "0" and cols[1] == "-" and cols[-1] == "-"
+
+
+def _artifact_copy(work, tmp_path, name, **changes):
+    art = json.load(open(work["root"] / "ft_ci" / name))
+    path = tmp_path / f"copy_{name}"
+    path.write_text(json.dumps({**art, **changes}))
+    return str(path)
+
+
+def test_report_refuses_two_runs_of_one_init_and_seed(work, tmp_path, capsys):
+    name = "channel_identification_pretrained_seed0.json"
+    original = str(work["root"] / "ft_ci" / name)
+    rerun = _artifact_copy(work, tmp_path, name, val_metric=0.25)
+    rc = main(["report", original, rerun])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert "pretrained run of seed 0" in err and rerun in err
+
+
+def test_report_refuses_mixed_label_budgets(work, tmp_path, capsys):
+    pre = str(work["root"] / "ft_ci" / "channel_identification_pretrained_seed0.json")
+    scr = _artifact_copy(work, tmp_path, "channel_identification_scratch_seed0.json",
+                         label_budget=20)
+    rc = main(["report", pre, scr])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert "label budgets 0 and 20" in err and scr in err
 
 
 def test_report_unreadable_artifact_exit_code(tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 from mimoclr import datapipe
 from mimoclr.chanmodel import (ArrayGeometry, ScenarioConfig, build_codebook,
                                generate_scenario, synthesize_cir)
+from mimoclr.config import load_config, scenario_configs
 from mimoclr.errors import ConfigError, ContractError, DataError
 from mimoclr.sigproc import cir_to_csi, fit_norm_stats, shape_input
 
@@ -125,6 +126,25 @@ def test_write_is_byte_deterministic(tmp_path):
     _, _, m2, r2 = build_dataset(tmp_path / "b")
     assert open(r1, "rb").read() == open(r2, "rb").read()
     assert json.load(open(m1))["records_sha256"] == json.load(open(m2))["records_sha256"]
+
+
+# The stored bytes of a small desk and a small paper-geometry dataset, every
+# preset scenario at n_ue UEs, seed 7.  Path parameters, labels and CIRs all
+# land in them, so a change that moves any stored byte must update these
+# values and say why.
+PINNED_RECORDS_SHA256 = {
+    ("desk", 40): "0d9ad36dd472b089ed90c2ce1b885bec3aac335eea73ddf2fd7581ddfd3935b4",
+    ("paper", 10): "7fe101faad81f2cfead492d50c59ece7c7799c3f8649e707c3ba8115da59e208",
+}
+
+
+@pytest.mark.parametrize("preset,n_ue", sorted(PINNED_RECORDS_SHA256))
+def test_generated_records_keep_their_pinned_bytes(tmp_path, preset, n_ue):
+    cfgs = [dataclasses.replace(c, n_ue=n_ue) for c in scenario_configs(load_config(preset))]
+    scenarios = [(c, generate_scenario(c, 7)) for c in cfgs]
+    manifest = datapipe.write_dataset(scenarios, str(tmp_path / "manifest.json"),
+                                      str(tmp_path / "samples.bin"), 7)
+    assert manifest["records_sha256"] == PINNED_RECORDS_SHA256[preset, n_ue]
 
 
 def test_write_refuses_mixed_geometry(tmp_path):
