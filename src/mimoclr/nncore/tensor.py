@@ -202,13 +202,17 @@ def reshape(a: Tensor, shape):
 
 
 def relu(a: Tensor):
+    """max(a, 0) elementwise: NaN stays NaN, -inf gives 0, and -0.0 gives
+    +0.0.  The gradient mask is built only while the op is recorded."""
+    out = np.maximum(a.data, 0)
+    if not (_grad_enabled and a.requires_grad):
+        return _make(out, (a,), None)
     mask = a.data > 0
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * mask, owned=True)
+        a._accumulate(g * mask, owned=True)
 
-    return _make(a.data * mask, (a,), backward)
+    return _make(out, (a,), backward)
 
 
 def exp(a: Tensor):

@@ -87,6 +87,21 @@ def test_relu_forward_and_grad():
     assert np.array_equal(x.grad, [0, 0, 1, 1])
 
 
+def test_relu_special_values():
+    """NaN propagates; -inf and both zeros give +0.0 with a zero gradient."""
+    x = Tensor(np.array([np.nan, -np.inf, -0.0, 0.0, np.inf], dtype=np.float32),
+               requires_grad=True)
+    y = T.relu(x)
+    assert np.isnan(y.data[0])
+    assert np.array_equal(y.data[1:], [0, 0, 0, np.inf])
+    assert not np.any(np.signbit(y.data[1:4]))
+    T.tsum(T.mul(y, Tensor(np.ones(5, dtype=np.float32)))).backward()
+    assert np.array_equal(x.grad, [0, 0, 0, 0, 1])
+    with T.no_grad():
+        z = T.relu(x)
+    assert np.array_equal(z.data, y.data, equal_nan=True) and z._backward is None
+
+
 def test_exp_log_sqrt():
     check_op(lambda a: T.tsum(T.exp(a)), (4,))
     rng = np.random.default_rng(3)
