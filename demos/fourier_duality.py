@@ -34,14 +34,15 @@ print(f"energy ratio CSI/CIR             : {ratio:.9f}  (K = {cfg.n_subcarriers}
 print()
 
 # from complex tensors to encoder food: stack re/im as channels over a
-# (antenna pair) x (subcarrier) image, then normalize with dataset statistics
-x = shape_input(csi, cfg.n_subcarriers)
+# (antenna pair) x (subcarrier) image, then normalize with dataset statistics;
+# the CIR view is the same layout over the taps
+x = shape_input(csi)
 print(f"encoder input {x.shape}: [re/im, rx*tx antenna pair, subcarrier]")
+print(f"CIR encoder input {shape_input(cir).shape}: [re/im, rx*tx antenna pair, tap]")
 
-batch = np.stack([
-    shape_input(synthesize_csi(t, cfg.tx_geometry, cfg.rx_geometry,
-                               cfg.n_subcarriers), cfg.n_subcarriers)
-    for t in samples])
+batch = shape_input(np.stack([
+    synthesize_csi(t, cfg.tx_geometry, cfg.rx_geometry, cfg.n_subcarriers)
+    for t in samples]))
 stats = fit_norm_stats(batch)
 z = normalize(batch, stats)
 print(f"after min-max + standardization  : mean {z.mean():+.3e}, std {z.std():.3f}")

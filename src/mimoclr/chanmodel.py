@@ -69,6 +69,17 @@ class ChannelSample:
     paths: tuple  # of PathParams, length in [1, MAX_PATHS]
     los_label: bool
     beam_label: int
+    # complex64 [n_rx, n_tx, len(occupied_taps(sample))]: the CIR at the taps
+    # that carry a path, kept by generate_scenario from the beam label's sweep
+    # so the writer need not synthesize the CIR again (every other tap is 0).
+    # Not part of the sample's value; None on decoded records.  It describes
+    # `paths`: a copy with other paths must drop it.
+    tap_channels: np.ndarray = field(default=None, compare=False, repr=False)
+
+
+def occupied_taps(sample: ChannelSample) -> list:
+    """The distinct delay taps that carry a path, ascending."""
+    return sorted({p.delay_tap for p in sample.paths})
 
 
 @dataclass(frozen=True)
@@ -353,8 +364,9 @@ def _generate_sample(config: ScenarioConfig, seed: int, index: int,
     # times its power summed over the taps, so sweeping the taps that carry a
     # path gives the same argmax as sweeping the CSI, at a fraction of the cost.
     cir = synthesize_cir(sample, config.tx_geometry, config.rx_geometry, config.n_taps)
-    occupied = cir[:, :, sorted({p.delay_tap for p in sample.paths})]
-    return replace(sample, beam_label=optimal_beam(occupied, codebook))
+    occupied = cir[:, :, occupied_taps(sample)]
+    return replace(sample, beam_label=optimal_beam(occupied, codebook),
+                   tap_channels=occupied.astype(np.complex64))
 
 
 def generate_scenario(config: ScenarioConfig, seed: int) -> list:

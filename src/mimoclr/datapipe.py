@@ -32,7 +32,7 @@ import struct
 import numpy as np
 
 from .chanmodel import (ArrayGeometry, ChannelSample, PathParams, ScenarioConfig,
-                        synthesize_cir)
+                        occupied_taps, synthesize_cir)
 from .errors import ConfigError, ContractError, DataError
 from .nncore.checkpoint import atomic_write
 from .rngstream import stream
@@ -76,6 +76,19 @@ def decode_record(buf, offset: int, n_rx: int, n_tx: int, n_taps: int):
     return sample, cir, offset
 
 
+def _stored_cir(sample: ChannelSample, cfg: ScenarioConfig) -> np.ndarray:
+    """The complex64 CIR a record stores: the sample's tap_channels at its
+    occupied taps when generation kept them, else synthesize_cir; the two
+    are bit-equal."""
+    if sample.tap_channels is None:
+        return synthesize_cir(sample, cfg.tx_geometry, cfg.rx_geometry,
+                              cfg.n_taps).astype(np.complex64)
+    cir = np.zeros((cfg.rx_geometry.n_elements, cfg.tx_geometry.n_elements, cfg.n_taps),
+                   dtype=np.complex64)
+    cir[:, :, occupied_taps(sample)] = sample.tap_channels
+    return cir
+
+
 def _geom_dict(g: ArrayGeometry) -> dict:
     return {"rows": g.rows, "cols": g.cols, "spacing": g.spacing}
 
@@ -103,18 +116,14 @@ def write_dataset(scenarios, manifest_path: str, records_path: str, seed: int) -
             raise DataError(
                 f"scenario {cfg.scenario_id} geometry differs from scenario {ref.scenario_id}; "
                 "records would not share a layout")
-    n_rx = ref.rx_geometry.n_elements
-    n_tx = ref.tx_geometry.n_elements
-
     offsets = []
     scenario_ids = []
     blob = bytearray()
     for cfg, samples in scenarios:
         for s in samples:
-            cir = synthesize_cir(s, cfg.tx_geometry, cfg.rx_geometry, cfg.n_taps)
             offsets.append(len(blob))
             scenario_ids.append(s.scenario_id)
-            blob.extend(encode_record(s, cir.astype(np.complex64)))
+            blob.extend(encode_record(s, _stored_cir(s, cfg)))
     atomic_write(records_path, blob)
 
     manifest = {
@@ -307,12 +316,12 @@ def _blocks(dataset: Dataset, indices: np.ndarray, modality: str):
 def load_batch(dataset: Dataset, indices, modality: str, task=None):
     """Load records as a normalized model-input batch.
 
-    Returns (x, labels): x is float32 [N, 2, n_rx*n_tx, n_subcarriers];
-    labels is None without a task, float64 positions [N, 3] for
-    'positioning', int64 class ids for 'beam' / 'los'.  modality 'cir'
-    zero-pads taps up to the subcarrier count; 'csi' is derived on the fly
-    from the stored delay response.  Records are decoded, transformed,
-    shaped and normalized in blocks of at most _BLOCK_BYTES of CSI.
+    Returns (x, labels): x is float32 [N, 2, n_rx*n_tx, bins], with bins
+    n_taps for modality 'cir' (the stored taps) and n_subcarriers for 'csi'
+    (derived on the fly from the stored delay response); labels is None
+    without a task, float64 positions [N, 3] for 'positioning', int64 class
+    ids for 'beam' / 'los'.  Records are decoded, transformed, shaped and
+    normalized in blocks of at most _BLOCK_BYTES of CSI.
     """
     if modality not in ("cir", "csi"):
         raise ContractError(f"unknown modality '{modality}'")
@@ -321,13 +330,13 @@ def load_batch(dataset: Dataset, indices, modality: str, task=None):
     indices = _checked_indices(dataset, indices)
     stats = dataset.norm_stats(modality)
 
-    x = np.empty((len(indices), 2, dataset.n_rx * dataset.n_tx, dataset.n_subcarriers),
-                 dtype=np.float32)
+    bins = dataset.n_taps if modality == "cir" else dataset.n_subcarriers
+    x = np.empty((len(indices), 2, dataset.n_rx * dataset.n_tx, bins), dtype=np.float32)
     heads = []
     for block_heads, tensor in _blocks(dataset, indices, modality):
         lo = len(heads)
         heads.extend(block_heads)
-        x[lo:len(heads)] = normalize(shape_input(tensor, n_bins=dataset.n_subcarriers), stats)
+        x[lo:len(heads)] = normalize(shape_input(tensor), stats)
 
     # header fields: scenario_id, ux, uy, uz, los, beam, n_paths
     if task == "positioning":
@@ -345,7 +354,10 @@ def fit_split_stats(dataset: Dataset, indices, modality: str) -> NormStats:
     """Fit normalization statistics over training-split records only;
     passing a validation record is a contract violation (statistics must
     never see held-out data).  The fit reads the records once, in loader
-    blocks, one record at a time, so its sums run in record order."""
+    blocks, one record at a time, so its sums run in record order.  It
+    counts exactly the values load_batch feeds the encoders: N * 2 *
+    n_rx*n_tx * bins, bins being n_taps for 'cir' and n_subcarriers for
+    'csi'."""
     indices = _checked_indices(dataset, indices)
     flags = dataset.split_flags()
     bad = indices[flags[indices] != 1]
@@ -354,7 +366,7 @@ def fit_split_stats(dataset: Dataset, indices, modality: str) -> NormStats:
             f"normalization stats must be fit on the training split; "
             f"got validation record(s) {bad[:5].tolist()}")
     return fit_norm_stats(row for _, tensor in _blocks(dataset, indices, modality)
-                          for row in shape_input(tensor, n_bins=dataset.n_subcarriers))
+                          for row in shape_input(tensor))
 
 
 def attach_norm_stats(manifest: dict, dataset: Dataset) -> dict:

@@ -1,7 +1,9 @@
 """Dual-encoder contrastive pretraining over aligned CSI/CIR pairs.
 
-Two structurally identical encoders with separate weights embed the
-frequency view (anchor side) and the delay view of each sample; the batch
+Two encoders of the one declared architecture, with separate weights,
+embed the frequency view (anchor side, n_subcarriers wide) and the delay
+view (the stored n_taps) of each sample; no weight depends on the input
+width, so one EncoderConfig, the CSI view's, describes both.  The batch
 alignment loss with a learnable temperature pulls matched pairs together
 against in-batch negatives.  Training tracks in-batch retrieval (does each
 anchor rank its own pair first?) as the pretext diagnostic, cuts the
@@ -40,6 +42,11 @@ FORWARD_CHUNK = 64
 # The PretrainConfig fields that declare the encoder architecture.  The
 # supervised baseline and every fine-tune run use this same declaration.
 ARCHITECTURE_FIELDS = ("widths", "kernel_size", "embed_dim")
+
+# Meta "version" of a pretraining checkpoint.  Version 2 trained the CIR
+# encoder on the n_taps-wide delay view; checkpoints without the key
+# trained it on that view zero-padded to n_subcarriers, and are refused.
+CHECKPOINT_VERSION = 2
 
 
 def config_from_dict(cls, d: dict):
@@ -131,14 +138,16 @@ class PretrainState:
 
 @dataclasses.dataclass
 class PairArrays:
-    """Preloaded aligned views: x_csi / x_cir are float32 [N, 2, P, K]."""
+    """Preloaded aligned views, one row per record: x_csi is float32
+    [N, 2, P, n_subcarriers], x_cir float32 [N, 2, P, n_taps]."""
     x_csi: np.ndarray
     x_cir: np.ndarray
 
     def __post_init__(self):
-        if self.x_csi.shape != self.x_cir.shape:
+        if self.x_csi.shape[0] != self.x_cir.shape[0]:
             raise ContractError(
-                f"pair arrays must align, got {self.x_csi.shape} vs {self.x_cir.shape}")
+                f"pair arrays must align, got {self.x_csi.shape[0]} CSI records "
+                f"vs {self.x_cir.shape[0]} CIR records")
 
     @property
     def n(self) -> int:
@@ -152,6 +161,8 @@ def load_pairs(dataset: Dataset, indices) -> PairArrays:
 
 
 def init_pretrain_state(config: PretrainConfig, in_height: int, in_width: int) -> PretrainState:
+    """Fresh seeded state; in_height x in_width is the CSI view (antenna
+    pairs x subcarriers), whose EncoderConfig the CIR encoder shares."""
     config = config.validated()
     enc_cfg = config.encoder_config(in_height, in_width)
     csi_enc = Encoder.init(enc_cfg, stream(config.seed, "csi-encoder-init"))
@@ -286,6 +297,7 @@ def _inner_split(dataset: Dataset, config: PretrainConfig):
 def save_pretrain_checkpoint(state: PretrainState, path: str) -> None:
     meta = {
         "kind": "pretrain",
+        "version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(state.config),
         "encoder_config": dataclasses.asdict(state.encoder_config),
         "epoch": state.epoch,
@@ -307,6 +319,10 @@ def load_pretrain_state(path: str):
     meta, tensors = ckpt.load_checkpoint(path)
     if meta.get("kind") != "pretrain":
         raise ContractError(f"{path} is not a pretraining checkpoint")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ConfigError(
+            f"{path} has pretraining checkpoint version {meta.get('version')}, not "
+            f"{CHECKPOINT_VERSION} (CIR encoder trained on the n_taps-wide view); pretrain again")
     config = PretrainConfig.from_dict(meta["config"])
     ec = meta["encoder_config"]
     state = init_pretrain_state(config, ec["in_height"], ec["in_width"])
@@ -337,9 +353,15 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
     pass the config the checkpoint was trained with (ConfigError otherwise);
     only the max_epochs argument may differ.  A last metrics row torn by a
     crash during its append is dropped; any other unreadable row raises
-    DataError.
+    DataError.  A dataset whose n_taps the declared encoder cannot pool is
+    a ConfigError before any work.
     """
     config = config.validated()
+    p = dataset.n_rx * dataset.n_tx
+    try:   # the CIR encoder shares the CSI view's EncoderConfig
+        config.encoder_config(p, dataset.n_taps)
+    except ConfigError as e:
+        raise ConfigError(f"the {dataset.n_taps}-tap CIR view cannot be encoded: {e}") from e
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "pretrain.ckpt")
     metrics_path = os.path.join(out_dir, "pretrain_metrics.jsonl")
@@ -366,7 +388,6 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
                         raise DataError(
                             f"{metrics_path} line {i + 1} is not a metrics row: {e}") from e
     else:
-        p = dataset.n_rx * dataset.n_tx
         state = init_pretrain_state(config, p, dataset.n_subcarriers)
 
     fit_idx, hold_idx = _inner_split(dataset, config)

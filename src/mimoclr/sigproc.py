@@ -30,27 +30,21 @@ def csi_to_cir(csi: np.ndarray, n_taps: int) -> np.ndarray:
     return np.fft.ifft(csi, axis=-1)[..., :n_taps]
 
 
-def shape_input(tensor: np.ndarray, n_bins: int | None = None) -> np.ndarray:
-    """Complex [n_rx, n_tx, bins] -> real [2, n_rx*n_tx, n_bins]; with a
-    leading batch axis, [B, n_rx, n_tx, bins] -> [B, 2, n_rx*n_tx, n_bins].
+def shape_input(tensor: np.ndarray) -> np.ndarray:
+    """Complex [n_rx, n_tx, bins] -> real [2, n_rx*n_tx, bins]; with a
+    leading batch axis, [B, n_rx, n_tx, bins] -> [B, 2, n_rx*n_tx, bins].
 
     Channel 0 holds the real part, channel 1 the imaginary part.  The pair
-    axis flattens rx-major (pair = rx * n_tx + tx).  When n_bins exceeds the
-    tensor's bin count (CIR shorter than the subcarrier grid) the tail is
-    zero-padded so both modalities share one encoder input shape.
+    axis flattens rx-major (pair = rx * n_tx + tx).  The bin axis is the
+    tensor's own: n_taps for a CIR, n_subcarriers for a CSI.
     """
     if tensor.ndim not in (3, 4):
         raise ContractError(f"expected [(B,) n_rx, n_tx, bins], got shape {tensor.shape}")
     *batch, n_rx, n_tx, bins = tensor.shape
-    if n_bins is None:
-        n_bins = bins
-    if bins > n_bins:
-        raise ContractError(f"tensor has {bins} bins, cannot shape into {n_bins}")
     flat = tensor.reshape(*batch, n_rx * n_tx, bins)
-    out = np.empty((*batch, 2, n_rx * n_tx, n_bins), dtype=np.float64)
-    out[..., 0, :, :bins] = flat.real
-    out[..., 1, :, :bins] = flat.imag
-    out[..., bins:] = 0.0
+    out = np.empty((*batch, 2, n_rx * n_tx, bins), dtype=np.float64)
+    out[..., 0, :, :] = flat.real
+    out[..., 1, :, :] = flat.imag
     return out
 
 

@@ -13,6 +13,7 @@ import yaml
 import mimoclr
 from mimoclr import datapipe, finetune as ft, pretrain as pt
 from mimoclr.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, main
+from mimoclr.nncore import checkpoint
 
 CONFIG = {
     "dataset": {
@@ -165,6 +166,43 @@ def test_pretrain_resume_with_changed_seed_exits_config(work, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == EXIT_CONFIG and "seed" in err
     assert open(out_dir / "pretrain_metrics.jsonl").read() == before
+
+
+def _without_version(src, dst):
+    """A copy of a pretraining checkpoint as saved before the CIR view was
+    the stored taps: the same file without the meta "version" key."""
+    meta, tensors = checkpoint.load_checkpoint(src)
+    del meta["version"]
+    checkpoint.save_checkpoint(dst, meta, tensors)
+
+
+def test_checkpoint_from_the_padded_cir_view_exits_config(work, tmp_path, capsys):
+    out_dir = tmp_path / "pre_old"
+    shutil.copytree(work["pre"], out_dir)
+    old = str(out_dir / "pretrain.ckpt")
+    _without_version(work["ckpt"], old)
+    rc = main(["pretrain", work["data"], "--config", work["config"],
+               "--out", str(out_dir), "--resume", "--epochs", "4"])
+    assert rc == EXIT_CONFIG and "version None, not 2" in capsys.readouterr().err
+    for init in ("pretrained", "probe"):
+        out = tmp_path / f"ft_{init}"
+        rc = main(["finetune", work["data"], "--config", work["config"], "--task", "los",
+                   "--init", init, "--checkpoint", old, "--out", str(out)])
+        assert rc == EXIT_CONFIG and "version None" in capsys.readouterr().err, init
+
+
+def test_pretrain_with_unpoolable_taps_exits_config_before_work(tmp_path, capsys):
+    cfg = json.loads(json.dumps(CONFIG))
+    cfg["dataset"]["geometry"]["n_taps"] = 20      # 20 taps do not pool three times
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    data, out = tmp_path / "data", tmp_path / "pre"
+    assert main(["generate", "--config", str(cfg_path), "--out", str(data)]) == 0
+    capsys.readouterr()
+    rc = main(["pretrain", str(data), "--config", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG and "20-tap CIR view" in err
+    assert not out.exists()
 
 
 def _zero_count_exit(argv, flag, capsys):

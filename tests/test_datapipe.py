@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mimoclr import datapipe
+from mimoclr import chanmodel, datapipe
 from mimoclr.chanmodel import (ArrayGeometry, ScenarioConfig, build_codebook,
                                generate_scenario, synthesize_cir)
 from mimoclr.config import load_config, scenario_configs
@@ -119,6 +119,32 @@ def test_write_read_dataset_round_trip(tmp_path):
         assert np.array_equal(cir, want.astype(np.complex64))
 
 
+def test_generate_and_write_synthesize_each_cir_once(tmp_path, monkeypatch):
+    calls = []
+    original = chanmodel.synthesize_cir
+
+    def counting(sample, *args):
+        calls.append((sample.scenario_id, sample.ue_position))
+        return original(sample, *args)
+
+    monkeypatch.setattr(chanmodel, "synthesize_cir", counting)
+    monkeypatch.setattr(datapipe, "synthesize_cir", counting)
+    scenarios = small_scenarios(n_ue=12)
+    manifest = datapipe.write_dataset(scenarios, str(tmp_path / "m.json"),
+                                      str(tmp_path / "r.bin"), 5)
+    assert len(calls) == len(set(calls)) == manifest["n_records"] == 24
+    # samples without their tap channels (decoded records) are synthesized
+    # by the writer, into the same bytes
+    ds = datapipe.open_dataset(str(tmp_path / "m.json"))
+    decoded = [(cfg, [ds.record(i)[0] for i in range(12 * k, 12 * k + 12)])
+               for k, (cfg, _) in enumerate(scenarios)]
+    assert all(s.tap_channels is None for _, samples in decoded for s in samples)
+    again = datapipe.write_dataset(decoded, str(tmp_path / "m2.json"),
+                                   str(tmp_path / "r2.bin"), 5)
+    assert len(calls) == 48
+    assert again["records_sha256"] == manifest["records_sha256"]
+
+
 def test_write_is_byte_deterministic(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
@@ -212,6 +238,21 @@ def test_load_batch_shapes_and_determinism(tmp_path):
     assert np.array_equal(x1, x2)
 
 
+def test_cir_view_is_the_stored_taps(mini_dataset):
+    ds = mini_dataset
+    idx = ds.train_indices()[:16]
+    x_cir, _ = datapipe.load_batch(ds, idx, "cir")
+    x_csi, _ = datapipe.load_batch(ds, idx, "csi")
+    assert x_cir.shape == (16, 2, ds.n_rx * ds.n_tx, ds.n_taps) == (16, 2, 32, 32)
+    assert x_csi.shape == (16, 2, 32, ds.n_subcarriers) == (16, 2, 32, 64)
+    stats = ds.norm_stats("cir")
+    raw = (x_cir.astype(np.float64) * stats.std + stats.mean) * (stats.vmax - stats.vmin) \
+        + stats.vmin
+    _, cir = ds.record(int(idx[3]))
+    assert np.allclose(raw[3, 0], cir.real.reshape(32, 32), atol=1e-6)
+    assert np.allclose(raw[3, 1], cir.imag.reshape(32, 32), atol=1e-6)
+
+
 def test_load_batch_labels_match_records(tmp_path):
     ds, _, _, _ = build_dataset(tmp_path)
     idx = np.arange(8)
@@ -237,7 +278,7 @@ def test_loaded_csi_is_dft_of_stored_cir(tmp_path):
         # and the shaped/normalized batch is an affine image of that CSI
         x, _ = datapipe.load_batch(ds, [i], "csi")
         stats = ds.norm_stats("csi")
-        want = (shape_input(csi, ds.n_subcarriers) / (stats.vmax - stats.vmin)
+        want = (shape_input(csi) / (stats.vmax - stats.vmin)
                 - stats.vmin / (stats.vmax - stats.vmin) - stats.mean) / stats.std
         assert np.allclose(x[0], want, atol=1e-6)
 
@@ -260,10 +301,11 @@ def test_load_batch_rejects_out_of_range_indices(mini_dataset):
         datapipe.fit_split_stats(mini_dataset, [-1], "csi")
 
 
-# The per-record loader and stat fit this package used before block
-# loading, kept as the oracle for the block loader.
+# A per-record loader, kept as the oracle for the block loader: the CSI view
+# is the K-point FFT of the stored taps, the CIR view the taps themselves.
 def _reference_shaped(ds, indices, modality):
-    p, k = ds.n_rx * ds.n_tx, ds.n_subcarriers
+    p = ds.n_rx * ds.n_tx
+    k = ds.n_subcarriers if modality == "csi" else ds.n_taps
     xs = np.empty((len(indices), 2, p, k), dtype=np.float64)
     samples = []
     for row, idx in enumerate(indices):
@@ -271,11 +313,9 @@ def _reference_shaped(ds, indices, modality):
         tensor = cir.astype(np.complex128)
         if modality == "csi":
             tensor = np.fft.fft(tensor, n=k, axis=-1)
-        flat = tensor.reshape(p, tensor.shape[-1])
-        shaped = np.zeros((2, p, k), dtype=np.float64)
-        shaped[0, :, :flat.shape[1]] = flat.real
-        shaped[1, :, :flat.shape[1]] = flat.imag
-        xs[row] = shaped
+        flat = tensor.reshape(p, k)
+        xs[row, 0] = flat.real
+        xs[row, 1] = flat.imag
         samples.append(sample)
     return xs, samples
 
@@ -350,6 +390,40 @@ def test_streamed_stat_fit_equals_full_array_fit(mini_dataset, modality):
     assert len(train) > 2 * datapipe._block_records(mini_dataset)
     want = fit_norm_stats(_reference_shaped(mini_dataset, train, modality)[0])
     assert datapipe.fit_split_stats(mini_dataset, train, modality) == want
+
+
+def _unpadded_split(ds, modality):
+    """The training split's encoder inputs, built directly with numpy."""
+    cirs = np.stack([ds.record(int(i))[1] for i in ds.train_indices()]).astype(np.complex128)
+    if modality == "csi":
+        cirs = np.fft.fft(cirs, n=ds.n_subcarriers, axis=-1)
+    return np.stack([cirs.real, cirs.imag], axis=1).reshape(
+        len(cirs), 2, ds.n_rx * ds.n_tx, cirs.shape[-1])
+
+
+@pytest.mark.parametrize("geometry", ["mini", "paper"])
+@pytest.mark.parametrize("modality", ["cir", "csi"])
+def test_stat_fit_counts_the_unpadded_values(geometry, modality, request, monkeypatch):
+    ds = request.getfixturevalue({"mini": "mini_dataset",
+                                  "paper": "paper_geometry_dataset"}[geometry])
+    counted = []
+    original = datapipe.fit_norm_stats
+
+    def counting(records):
+        return original(counted.append(r.size) or r for r in records)
+
+    monkeypatch.setattr(datapipe, "fit_norm_stats", counting)
+    got = datapipe.fit_split_stats(ds, ds.train_indices(), modality)
+    bins = ds.n_taps if modality == "cir" else ds.n_subcarriers
+    n = len(ds.train_indices())
+    assert sum(counted) == n * 2 * ds.n_rx * ds.n_tx * bins
+    x = _unpadded_split(ds, modality)
+    assert x.size == sum(counted)
+    span = x.max() - x.min()
+    assert (got.vmin, got.vmax) == (x.min(), x.max())
+    assert got.mean == pytest.approx((np.mean(x) - x.min()) / span, rel=1e-12)
+    assert got.std == pytest.approx(np.std(x) / span, rel=1e-12)
+    assert ds.norm_stats(modality) == got
 
 
 def test_attach_norm_stats_ffts_each_training_block_once(mini_dataset, monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 from mimoclr import finetune as F, pretrain as P
 from mimoclr.config import load_config, pretrain_config
 from mimoclr.errors import ConfigError, ContractError
+from mimoclr.nncore import checkpoint as ckpt
 from mimoclr.nncore.layers import prefixed
 from mimoclr.nncore.tensor import Tensor
 from mimoclr.rngstream import stream
@@ -29,6 +30,38 @@ def train_pairs(dataset, n=None):
     if n is not None:
         idx = idx[:n]
     return P.load_pairs(dataset, idx)
+
+
+def test_pair_arrays_align_records_not_widths(mini_dataset):
+    pairs = train_pairs(mini_dataset, 8)
+    assert pairs.x_csi.shape == (8, 2, 32, mini_dataset.n_subcarriers)
+    assert pairs.x_cir.shape == (8, 2, 32, mini_dataset.n_taps)
+    assert pairs.n == 8
+    with pytest.raises(ContractError, match="8 CSI records vs 7 CIR records"):
+        P.PairArrays(x_csi=pairs.x_csi, x_cir=pairs.x_cir[:7])
+
+
+def test_cir_encoder_shares_the_csi_encoder_config(mini_dataset):
+    state = make_state()
+    assert state.cir_encoder.config == state.csi_encoder.config == state.encoder_config
+    assert state.encoder_config.in_width == mini_dataset.n_subcarriers
+    x = train_pairs(mini_dataset, 4).x_cir
+    assert P.encode_batch(state.cir_encoder, x).shape == (4, SMALL.embed_dim)
+
+
+def test_checkpoint_without_version_is_refused(mini_dataset, tmp_path):
+    path = str(tmp_path / "pre.ckpt")
+    P.save_pretrain_checkpoint(make_state(), path)
+    meta, tensors = ckpt.load_checkpoint(path)
+    assert meta["version"] == P.CHECKPOINT_VERSION == 2
+    del meta["version"]    # as saved when the CIR encoder saw the padded view
+    ckpt.save_checkpoint(path, meta, tensors)
+    with pytest.raises(ConfigError, match="version None"):
+        P.load_pretrain_state(path)
+    for init in ("pretrained", "probe"):
+        with pytest.raises(ConfigError, match="version None"):
+            F.init_finetune_run(mini_dataset, "los", init, 0, F.FinetuneConfig(), SMALL,
+                                checkpoint_path=path)
 
 
 def test_config_validation():
@@ -224,7 +257,7 @@ def test_resume_reproduces_uninterrupted_run(mini_dataset, tmp_path):
 def test_run_hands_on_the_lowest_holdout_loss_epoch(mini_dataset, tmp_path):
     # a high rate and small batches make the holdout loss swing, so the
     # last epoch is not the best one
-    cfg = dataclasses.replace(SMALL, lr=1e-2, batch_size=8, max_epochs=8)
+    cfg = dataclasses.replace(SMALL, lr=1e-2, batch_size=8, max_epochs=10)
     state, rows = P.run_pretraining(mini_dataset, cfg, str(tmp_path / "full"))
     best = min(rows, key=lambda r: r["val_loss"])["epoch"]
     assert best < len(rows) == state.epoch

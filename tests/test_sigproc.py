@@ -54,47 +54,42 @@ def test_cir_to_csi_rejects_too_many_taps():
 
 def test_shape_input_layout():
     # values chosen so each (rx, tx, bin) slot is identifiable
-    n_rx, n_tx, n_taps, n_sc = 2, 3, 4, 8
+    n_rx, n_tx, n_taps = 2, 3, 4
     cir = (np.arange(n_rx * n_tx * n_taps) + 1j * 100).reshape(n_rx, n_tx, n_taps) \
         + 1j * np.arange(n_rx * n_tx * n_taps).reshape(n_rx, n_tx, n_taps)
-    x = shape_input(cir, n_bins=n_sc)
-    assert x.shape == (2, n_rx * n_tx, n_sc)
+    x = shape_input(cir)
+    assert x.shape == (2, n_rx * n_tx, n_taps)  # the tensor's own bins, no padding
     for r in range(n_rx):
         for t in range(n_tx):
             pair = r * n_tx + t  # rx-major pair ordering
-            assert np.array_equal(x[0, pair, :n_taps], cir[r, t].real)
-            assert np.array_equal(x[1, pair, :n_taps], cir[r, t].imag)
-            assert np.all(x[:, pair, n_taps:] == 0)  # zero padding
+            assert np.array_equal(x[0, pair], cir[r, t].real)
+            assert np.array_equal(x[1, pair], cir[r, t].imag)
 
 
-def unshape_input(x, n_rx, n_tx, bins):
-    """Inverse of shape_input on the unpadded region."""
+def unshape_input(x, n_rx, n_tx):
+    """Inverse of shape_input."""
     assert x.shape[0] == 2 and x.shape[1] == n_rx * n_tx
-    flat = x[0, :, :bins] + 1j * x[1, :, :bins]
-    return flat.reshape(n_rx, n_tx, bins)
+    flat = x[0] + 1j * x[1]
+    return flat.reshape(n_rx, n_tx, x.shape[2])
 
 
 def test_shape_unshape_round_trip():
     rng = np.random.default_rng(3)
     cir = rand_cir(rng, (2, 16, 32))
-    x = shape_input(cir, n_bins=64)
-    back = unshape_input(x, 2, 16, 32)
+    x = shape_input(cir)
+    assert x.shape == (2, 32, 32)
+    back = unshape_input(x, 2, 16)
     assert np.array_equal(back, cir)
 
 
-def test_shape_input_rejects_padding_shrink():
-    with pytest.raises(ContractError):
-        shape_input(np.zeros((2, 2, 16), complex), n_bins=8)
-
-
-@pytest.mark.parametrize("n_bins", [32, 64])
-def test_shape_input_batch_axis_stacks_records(n_bins):
+@pytest.mark.parametrize("bins", [32, 64])
+def test_shape_input_batch_axis_stacks_records(bins):
     rng = np.random.default_rng(5)
-    batch = rand_cir(rng, (3, 2, 16, 32))
-    x = shape_input(batch, n_bins=n_bins)
-    assert x.shape == (3, 2, 32, n_bins) and x.dtype == np.float64
+    batch = rand_cir(rng, (3, 2, 16, bins))
+    x = shape_input(batch)
+    assert x.shape == (3, 2, 32, bins) and x.dtype == np.float64
     for b in range(3):
-        assert np.array_equal(x[b], shape_input(batch[b], n_bins=n_bins))
+        assert np.array_equal(x[b], shape_input(batch[b]))
     for bad in ((16, 32), (1, 3, 2, 16, 32)):
         with pytest.raises(ContractError):
             shape_input(np.zeros(bad, complex))
