@@ -444,6 +444,38 @@ def test_python_dash_m_runs_the_cli_once(module):
     assert proc.stdout.startswith("usage: mimoclr")
 
 
+_REALLOC_ROUNDS = """
+import resource, sys
+import numpy as np
+from mimoclr.cli import pin_malloc_thresholds
+if sys.argv[1] == "pinned":
+    pin_malloc_thresholds()
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    bufs = [np.ones(1 << 18) for _ in range(40)]     # 40 x 2 MiB, touched
+    del bufs
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults[-1])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc thresholds")
+def test_pinned_malloc_thresholds_reuse_freed_buffers():
+    # 80 MiB allocated and freed each round: above glibc's largest dynamic
+    # trim threshold, so unpinned every round faults all of it in again
+    src = os.path.dirname(os.path.dirname(mimoclr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    last = {}
+    for mode in ("default", "pinned"):
+        proc = subprocess.run([sys.executable, "-c", _REALLOC_ROUNDS, mode], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        last[mode] = int(proc.stdout)
+    assert last["default"] > 5_000           # 80 MiB is 20,480 pages
+    assert last["pinned"] < 500
+
+
 def test_verbose_flag_logs_the_dropped_tail_batch(mini_root, mini_dataset, tmp_path, capsys):
     pcfg = {"seed": 0, "lr": 2e-3, "max_epochs": 1, "widths": [4, 8, 16], "embed_dim": 8}
     n_fit = pt._inner_split(mini_dataset, pt.PretrainConfig.from_dict(pcfg))[0].size
