@@ -334,9 +334,8 @@ def _generate_sample(config: ScenarioConfig, seed: int, index: int,
     # keeps strictly minimal delay; out-of-grid scatterers are skipped too.
     lengths = np.linalg.norm(scatterers - bs, axis=1) + np.linalg.norm(scatterers - ue, axis=1)
     order = np.argsort(lengths, kind="stable")
-    n_scattered_wanted = max(n_target - len(paths), 1 - len(paths))
     for j in order:
-        if len(paths) - (los_tap is not None) >= n_scattered_wanted:
+        if len(paths) >= n_target:
             break
         tap = int(round(lengths[j] / config.tap_length_m))
         if tap >= config.n_taps or (los_tap is not None and tap == los_tap):

@@ -37,6 +37,8 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
+INITS = ("scratch", "pretrained", "probe")   # report column order
+
 
 def _echo(command: str, payload: dict) -> None:
     text = yaml.safe_dump({"command": command, **payload}, sort_keys=False).rstrip()
@@ -82,7 +84,7 @@ def cmd_pretrain(args) -> int:
                                      max_epochs=args.epochs)
     last = rows[-1] if rows else {}
     print(f"pretraining finished at epoch {state.epoch} "
-          f"(best val loss {state.best_val_loss:.4f}, tau {state.tau():.4f})")
+          f"(best val loss {state.schedule.best:.4f}, tau {state.tau():.4f})")
     if last:
         print(f"last epoch: train {last['train_loss']:.4f}, val {last['val_loss']:.4f}, "
               f"retrieval {last['retrieval']:.3f}")
@@ -131,6 +133,16 @@ def _fmt(value, metric_name: str) -> str:
     return f"{value:.2f}" if metric_name == "mean_error_m" else f"{value:.4f}"
 
 
+def _row(values: dict, task: str) -> dict:
+    """A report row from init -> metric: every init's value (None when
+    absent) and, when both arms are present, pretrained's improvement."""
+    row = {init: values.get(init) for init in INITS}
+    pre, scr = row["pretrained"], row["scratch"]
+    imp = {} if pre is None or scr is None else ft.improvement_report(pre, scr, task)
+    row["relative_pct"], row["absolute_delta"] = imp.get("relative_pct"), imp.get("absolute_delta")
+    return row
+
+
 def cmd_report(args) -> int:
     artifacts = []
     for path in args.artifacts:
@@ -163,47 +175,23 @@ def cmd_report(args) -> int:
     for task in sorted(by_task):
         runs = by_task[task]
         metric_name = runs[0]["metric_name"]
-        seeds = sorted({r["seed"] for r in runs})
-        cols = {}
+        by_seed = {}
         for r in runs:
-            cols.setdefault(r["init"], {})[r["seed"]] = r["val_metric"]
-        rows = []
-        for seed in seeds:
-            pre = cols.get("pretrained", {}).get(seed)
-            scr = cols.get("scratch", {}).get(seed)
-            probe = cols.get("probe", {}).get(seed)
-            if pre is not None and scr is not None:
-                imp = ft.improvement_report(pre, scr, task)
-                rel, absd = imp["relative_pct"], imp["absolute_delta"]
-            else:
-                rel, absd = None, None
-            rows.append({"seed": seed, "scratch": scr, "pretrained": pre, "probe": probe,
-                         "relative_pct": rel, "absolute_delta": absd})
-        med = {}
-        for init in ("scratch", "pretrained", "probe"):
-            vals = [v for v in cols.get(init, {}).values() if v is not None]
-            med[init] = float(np.median(vals)) if vals else None
-        if med["pretrained"] is not None and med["scratch"] is not None:
-            imp = ft.improvement_report(med["pretrained"], med["scratch"], task)
-            med["relative_pct"], med["absolute_delta"] = imp["relative_pct"], imp["absolute_delta"]
-        else:
-            med["relative_pct"], med["absolute_delta"] = None, None
+            by_seed.setdefault(r["seed"], {})[r["init"]] = r["val_metric"]
+        rows = [{"seed": seed, **_row(by_seed[seed], task)} for seed in sorted(by_seed)]
+        arms = {init: [row[init] for row in rows if row[init] is not None] for init in INITS}
+        med = _row({init: float(np.median(v)) for init, v in arms.items() if v}, task)
         report["tasks"][task] = {"metric": metric_name, "rows": rows, "median": med}
 
         direction = "lower is better" if metric_name == "mean_error_m" else "higher is better"
         labels = runs[0]["label_budget"] or "full training split"
         lines.append(f"== {task} ({metric_name}; {direction}; labels: {labels}) ==")
-        header = f"{'seed':>6} {'scratch':>12} {'pretrained':>12} {'probe':>12} {'improvement':>12}"
-        lines.append(header)
-        for row in rows:
+        lines.append(f"{'seed':>6} {'scratch':>12} {'pretrained':>12} {'probe':>12} "
+                     f"{'improvement':>12}")
+        for label, row in [(r["seed"], r) for r in rows] + [("median", med)]:
             imp_s = "-" if row["relative_pct"] is None else f"{row['relative_pct']:+.2f}%"
-            lines.append(f"{row['seed']:>6} {_fmt(row['scratch'], metric_name):>12} "
-                         f"{_fmt(row['pretrained'], metric_name):>12} "
-                         f"{_fmt(row['probe'], metric_name):>12} {imp_s:>12}")
-        imp_s = "-" if med["relative_pct"] is None else f"{med['relative_pct']:+.2f}%"
-        lines.append(f"{'median':>6} {_fmt(med['scratch'], metric_name):>12} "
-                     f"{_fmt(med['pretrained'], metric_name):>12} "
-                     f"{_fmt(med['probe'], metric_name):>12} {imp_s:>12}")
+            cells = " ".join(f"{_fmt(row[init], metric_name):>12}" for init in INITS)
+            lines.append(f"{label:>6} {cells} {imp_s:>12}")
         lines.append("")
 
     text = "\n".join(lines).rstrip()

@@ -131,9 +131,9 @@ def init_finetune_run(dataset: Dataset, task_kind: str, init_mode: str, seed: in
         if checkpoint_path is None:
             raise ConfigError(f"{init_mode} init needs a checkpoint path")
         pre_state = load_pretrain_state(checkpoint_path)[0].restore_best()
-        if pre_state.encoder_config != enc_cfg:
+        if pre_state.csi_encoder.config != enc_cfg:
             raise ConfigError(
-                f"checkpoint encoder {pre_state.encoder_config} does not match "
+                f"checkpoint encoder {pre_state.csi_encoder.config} does not match "
                 f"configured architecture {enc_cfg}")
         encoder = pre_state.csi_encoder
     elif init_mode == "scratch":

@@ -49,18 +49,40 @@ ARCHITECTURE_FIELDS = ("widths", "kernel_size", "embed_dim")
 CHECKPOINT_VERSION = 2
 
 
-def config_from_dict(cls, d: dict):
-    """Build and validate a config dataclass (PretrainConfig or
-    FinetuneConfig) from a config-file section; unknown keys are a
-    ConfigError naming the section."""
-    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+def config_from_dict(cls, d, section: str = None):
+    """Read a config-file section into the dataclass `cls` by its fields'
+    declared types, then validate it.  A list is read as a tuple, a mapping
+    as a nested dataclass, an int or numeric string (YAML 1.1 reads "1.0e7"
+    as one) as a float; any other type mismatch (a bool for an int too), a
+    non-mapping section, or an unknown or missing key is a ConfigError."""
+    section = section or cls.__name__.removesuffix("Config").lower()
+    if not isinstance(d, dict):
+        raise ConfigError(f"{section} must be a mapping, got {d!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(f"{section}.{k}" for k in set(d) - set(fields))
     if unknown:
-        section = cls.__name__.removesuffix("Config").lower()
-        raise ConfigError(f"unknown {section} config keys: {sorted(unknown)}")
-    d = dict(d)
-    if "widths" in d:
-        d["widths"] = tuple(d["widths"])
-    return cls(**d).validated()
+        raise ConfigError(f"unknown config keys {unknown}")
+    missing = [f"{section}.{n}" for n, f in fields.items() if n not in d
+               and f.default is dataclasses.MISSING is f.default_factory]
+    if missing:
+        raise ConfigError(f"missing config keys {missing}")
+    obj = cls(**{k: _read_field(fields[k].type, v, f"{section}.{k}") for k, v in d.items()})
+    return obj.validated() if hasattr(obj, "validated") else obj
+
+
+def _read_field(kind: type, value, name: str):
+    if dataclasses.is_dataclass(kind) and isinstance(value, dict):
+        return config_from_dict(kind, value, name)
+    if kind is tuple and type(value) is list:
+        return tuple(value)
+    if kind is float and type(value) in (int, str):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    if type(value) is not kind:
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,17 +127,17 @@ class PretrainConfig:
 
 @dataclasses.dataclass
 class PretrainState:
+    """The two encoders share `csi_encoder.config`, which a checkpoint
+    records as `encoder_config`: the CSI view's geometry (the CIR encoder
+    runs on n_taps columns).  `schedule.best` is the lowest holdout loss."""
     config: PretrainConfig
-    encoder_config: EncoderConfig
     csi_encoder: Encoder
     cir_encoder: Encoder
     log_tau: Tensor
     optimizer: AdamW
     schedule: LRPlateau
     epoch: int = 0
-    best_val_loss: float = math.inf
-    val_history: list = dataclasses.field(default_factory=list)
-    best_params: dict = None       # parameter arrays of the best_val_loss epoch
+    best_params: dict = None       # parameter arrays of the schedule.best epoch
 
     def tau(self) -> float:
         return float(np.exp(self.log_tau.data))
@@ -173,8 +195,7 @@ def init_pretrain_state(config: PretrainConfig, in_height: int, in_width: int) -
     params["log_tau"] = log_tau
     opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
     sched = LRPlateau(factor=config.lr_factor, interval=config.lr_interval)
-    return PretrainState(config=config, encoder_config=enc_cfg,
-                         csi_encoder=csi_enc, cir_encoder=cir_enc,
+    return PretrainState(config=config, csi_encoder=csi_enc, cir_encoder=cir_enc,
                          log_tau=log_tau, optimizer=opt, schedule=sched)
 
 
@@ -299,14 +320,11 @@ def save_pretrain_checkpoint(state: PretrainState, path: str) -> None:
         "kind": "pretrain",
         "version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(state.config),
-        "encoder_config": dataclasses.asdict(state.encoder_config),
+        "encoder_config": dataclasses.asdict(state.csi_encoder.config),
         "epoch": state.epoch,
-        "best_val_loss": state.best_val_loss if math.isfinite(state.best_val_loss) else None,
         "lr": state.optimizer.lr,
         "opt_t": state.optimizer.t,
         "schedule": state.schedule.state(),
-        "val_history": list(state.val_history),
-        "rng": {"scheme": "counter-based", "seed": state.config.seed},
     }
     tensors = {k: p.data for k, p in state.parameters().items()}
     tensors.update(state.optimizer.state_arrays())
@@ -334,9 +352,6 @@ def load_pretrain_state(path: str):
     state.optimizer.lr = float(meta["lr"])
     state.schedule = LRPlateau.from_state(meta["schedule"])
     state.epoch = int(meta["epoch"])
-    best = meta["best_val_loss"]
-    state.best_val_loss = math.inf if best is None else float(best)
-    state.val_history = list(meta["val_history"])
     return state, meta
 
 
@@ -402,10 +417,9 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
         while state.epoch < cap and not state.schedule.stale > config.patience:
             em = pretrain_epoch(state, pairs_fit)
             val_loss, val_ret = evaluate_pairs(state, pairs_hold, config.batch_size)
+            best = state.schedule.best
             state.optimizer.lr = state.schedule.observe(val_loss, state.optimizer.lr)
-            state.val_history.append(val_loss)
-            if val_loss < state.best_val_loss:
-                state.best_val_loss = val_loss
+            if best is None or val_loss < best:
                 state.best_params = {k: p.data.copy() for k, p in state.parameters().items()}
             row = {"epoch": state.epoch, "train_loss": em["train_loss"],
                    "val_loss": val_loss, "retrieval": val_ret,

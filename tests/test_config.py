@@ -1,9 +1,13 @@
 """Preset loading and config expansion."""
 
+import copy
+import re
+
 import pytest
 import yaml
 
 from mimoclr import config as C
+from mimoclr.cli import EXIT_CONFIG, main
 from mimoclr.errors import ConfigError
 from mimoclr.pretrain import ARCHITECTURE_FIELDS
 
@@ -129,3 +133,94 @@ def test_malformed_yaml_rejected(tmp_path):
     p.write_text("- just\n- a\n- list\n")
     with pytest.raises(ConfigError, match="mapping"):
         C.load_config(str(p))
+
+
+BASE = {
+    "dataset": {"seed": 3, "train_fraction": 0.8, "cap": 0,
+                "geometry": {"tx_geometry": {"rows": 2, "cols": 2, "spacing": 0.5},
+                             "rx_geometry": {"rows": 2, "cols": 1},
+                             "n_taps": 32, "n_subcarriers": 64, "codebook_size": 4,
+                             "bandwidth_hz": 1.0e7},
+                "scenarios": [{"scenario_id": 0, "n_ue": 4}]},
+    "pretrain": {"batch_size": 16, "lr": 1.0e-3, "widths": [4, 8, 16], "embed_dim": 8},
+    "finetune": {"batch_size": 8, "epochs": 2},
+}
+
+# (where the malformed value goes, the value, text the error must name)
+MALFORMED = [
+    (("pretrian",), {"lr": 1.0e-3}, "pretrian"),
+    (("dataset", "train_frac"), 0.7, "dataset.train_frac"),
+    (("dataset", "geometry", "n_tap"), 16, "n_tap"),
+    (("dataset", "geometry", "tx_geometry", "spcing"), 0.4, "tx_geometry.spcing"),
+    (("pretrain", "lr"), "abc", "pretrain.lr"),
+    (("pretrain", "batch_size"), 64.5, "pretrain.batch_size"),
+    (("pretrain", "batch_size"), True, "pretrain.batch_size"),
+    (("pretrain",), None, "pretrain"),
+    (("pretrain",), [1, 2], "pretrain"),
+    (("dataset",), 5, "dataset"),
+    (("dataset", "scenarios", 0), [1, 2], "dataset.scenarios[0]"),
+    (("dataset", "seed"), "abc", "dataset.seed"),
+    (("dataset", "train_fraction"), "x", "dataset.train_fraction"),
+    (("dataset", "cap"), "x", "dataset.cap"),
+    (("pretrain", "widths"), 8, "pretrain.widths"),
+    (("finetune", "epochs"), "ten", "finetune.epochs"),
+    (("dataset", "geometry", "tx_geometry"), 4, "tx_geometry"),
+]
+MALFORMED_IDS = [".".join(map(str, where)) + f"={value!r}" for where, value, _ in MALFORMED]
+
+
+def malformed_config(tmp_path, where, value) -> str:
+    cfg = copy.deepcopy(BASE)
+    *parents, last = where
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return str(path)
+
+
+def test_base_config_reads(tmp_path):
+    cfg = C.load_config(malformed_config(tmp_path, ("dataset", "seed"), 3))
+    assert C.dataset_params(cfg) == {"seed": 3, "train_fraction": 0.8, "cap": None}
+    assert C.scenario_configs(cfg)[0].tx_geometry.n_elements == 4
+    assert C.pretrain_config(cfg).widths == (4, 8, 16)
+    assert C.finetune_config(cfg).epochs == 2
+
+
+@pytest.mark.parametrize("where,value,named", MALFORMED,
+                         ids=MALFORMED_IDS)
+def test_reader_refuses_malformed_values(tmp_path, where, value, named):
+    path = malformed_config(tmp_path, where, value)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        cfg = C.load_config(path)
+        C.dataset_params(cfg)
+        C.scenario_configs(cfg)
+        C.pretrain_config(cfg)
+        C.finetune_config(cfg)
+
+
+@pytest.mark.parametrize("where,value,named", MALFORMED,
+                         ids=MALFORMED_IDS)
+def test_cli_exits_config_on_malformed_values(tmp_path, capsys, where, value, named):
+    path = malformed_config(tmp_path, where, value)
+    data, out = str(tmp_path / "data"), str(tmp_path / "out")
+    argv = {"pretrain": ["pretrain", data, "--config", path, "--out", out],
+            "finetune": ["finetune", data, "--config", path, "--out", out,
+                         "--task", "los", "--init", "scratch"]}.get(
+        where[0], ["generate", "--config", path, "--out", data])
+    assert main(argv) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+
+
+def test_geometry_block_gives_defaults_for_any_scenario_field(tmp_path):
+    p = tmp_path / "c.yaml"
+    p.write_text(yaml.safe_dump({"dataset": {
+        "geometry": {"cell_radius": 100, "scatterer_count": [4, 8]},
+        "scenarios": [{"scenario_id": 0, "n_ue": 4},
+                      {"scenario_id": 1, "n_ue": 4, "cell_radius": 90.0}]}}))
+    a, b = C.scenario_configs(C.load_config(str(p)))
+    assert a.cell_radius == 100.0 and isinstance(a.cell_radius, float)
+    assert b.cell_radius == 90.0
+    assert a.scatterer_count == b.scatterer_count == (4, 8)

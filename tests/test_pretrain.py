@@ -43,10 +43,24 @@ def test_pair_arrays_align_records_not_widths(mini_dataset):
 
 def test_cir_encoder_shares_the_csi_encoder_config(mini_dataset):
     state = make_state()
-    assert state.cir_encoder.config == state.csi_encoder.config == state.encoder_config
-    assert state.encoder_config.in_width == mini_dataset.n_subcarriers
+    assert state.cir_encoder.config == state.csi_encoder.config
+    assert state.csi_encoder.config.in_width == mini_dataset.n_subcarriers
     x = train_pairs(mini_dataset, 4).x_cir
     assert P.encode_batch(state.cir_encoder, x).shape == (4, SMALL.embed_dim)
+
+
+def test_checkpoint_with_older_meta_keys_loads(tmp_path):
+    """Version-2 checkpoints saved while the state still kept best_val_loss,
+    val_history and rng in meta load, those keys ignored."""
+    state = make_state()
+    path = str(tmp_path / "pre.ckpt")
+    P.save_pretrain_checkpoint(state, path)
+    meta, tensors = ckpt.load_checkpoint(path)
+    meta.update(best_val_loss=None, val_history=[],
+                rng={"scheme": "counter-based", "seed": 0})
+    ckpt.save_checkpoint(path, meta, tensors)
+    loaded, _ = P.load_pretrain_state(path)
+    assert loaded.config == state.config and loaded.schedule.best is None
 
 
 def test_checkpoint_without_version_is_refused(mini_dataset, tmp_path):
@@ -201,16 +215,16 @@ def test_checkpoint_round_trip(mini_dataset, tmp_path):
     pairs = train_pairs(mini_dataset, 64)
     for _ in range(2):
         P.pretrain_epoch(state, pairs)
-    state.val_history = [2.0, 1.5]
-    state.best_val_loss = 1.5
+    for val_loss in (2.0, 1.5):
+        state.schedule.observe(val_loss, state.optimizer.lr)
     path = str(tmp_path / "pre.ckpt")
     P.save_pretrain_checkpoint(state, path)
     loaded, meta = P.load_pretrain_state(path)
     assert loaded.epoch == 2
     assert loaded.config == state.config
-    assert loaded.best_val_loss == 1.5
-    assert loaded.val_history == [2.0, 1.5]
-    assert meta["rng"] == {"scheme": "counter-based", "seed": 0}
+    assert loaded.schedule.best == 1.5
+    assert meta["encoder_config"]["in_width"] == state.csi_encoder.config.in_width == 64
+    assert not {"best_val_loss", "val_history", "rng"} & set(meta)
     for k, p in state.parameters().items():
         assert np.array_equal(loaded.parameters()[k].data, p.data), k
     want_m = state.optimizer.state_arrays()
