@@ -3,10 +3,11 @@ learning over synthetic MIMO channels.
 
 Layers, bottom to top: chanmodel (geometric multipath synthesis), sigproc
 (Fourier duality, input shaping, normalization), nncore (autodiff, encoder,
-losses, AdamW, checkpoints), datapipe (binary records + manifest),
-pretrain (dual-encoder contrastive training), finetune (downstream tasks
-and the pretrained-vs-scratch comparison), cli (operator commands; not
-imported here, so `python -m mimoclr.cli` runs it only once).
+losses, AdamW, checkpoints), config (presets, the section dataclasses and
+their one reader), datapipe (binary records + manifest), pretrain
+(dual-encoder contrastive training), finetune (downstream tasks and the
+pretrained-vs-scratch comparison), cli (operator commands; not imported
+here, so `python -m mimoclr.cli` runs it only once).
 """
 
 from . import chanmodel, config, datapipe, finetune, nncore, pretrain, sigproc
@@ -14,8 +15,7 @@ from .chanmodel import (ArrayGeometry, ChannelSample, Codebook, PathParams,
                         ScenarioConfig, beam_powers, build_codebook, generate_scenario,
                         optimal_beam, steering_vector, steering_vectors, synthesize_cir,
                         synthesize_csi)
-from .datapipe import (Dataset, build_dataset, open_dataset, split_dataset, stratified_cap,
-                       write_dataset)
+from .datapipe import Dataset, build_dataset, open_dataset, split_dataset, write_dataset
 from .errors import (ConfigError, ContractError, DataError, DegenerateDataError,
                      GenerationError, MimoclrError, TrainingDivergenceError)
 # NB: the finetune *function* stays under mimoclr.finetune so the submodule

@@ -211,11 +211,11 @@ class ScenarioConfig:
     n_ue: int
     cell_radius: float = 150.0
     min_distance: float = 15.0
-    bs_position: tuple = (0.0, 0.0, 25.0)
+    bs_position: tuple[float, float, float] = (0.0, 0.0, 25.0)
     ue_height: float = 1.5
-    scatterer_count: tuple = (24, 40)       # size of the fixed scatterer field
-    scatterer_height: tuple = (1.0, 12.0)
-    path_count: tuple = (3, 10)             # paths per sample incl. LoS
+    scatterer_count: tuple[int, int] = (24, 40)   # size of the fixed scatterer field
+    scatterer_height: tuple[float, float] = (1.0, 12.0)
+    path_count: tuple[int, int] = (3, 10)         # paths per sample incl. LoS
     blockage_prob: float = 0.35
     los_exponent: float = 2.0               # |gain| ~ length^(-eta/2)
     nlos_exponent: float = 3.5

@@ -47,22 +47,17 @@ def _echo(command: str, payload: dict) -> None:
 
 
 def cmd_generate(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    ds_params = cfgmod.dataset_params(cfg)
-    seed = ds_params["seed"] if args.seed is None else args.seed
-    scen_cfgs = cfgmod.scenario_configs(cfg)
+    ds_cfg = cfgmod.dataset_config(cfgmod.load_config(args.config))
+    seed = ds_cfg.seed if args.seed is None else args.seed
+    scen_cfgs = ds_cfg.scenario_configs()
     _echo("generate", {"seed": seed, "out": args.out,
-                       "dataset": {**ds_params, "seed": seed,
+                       "dataset": {"seed": seed, "train_fraction": ds_cfg.train_fraction,
                                    "scenarios": [dataclasses.asdict(c) for c in scen_cfgs]}})
 
     t0 = time.perf_counter()
     scenarios = [(c, chanmodel.generate_scenario(c, seed)) for c in scen_cfgs]
-    if ds_params["cap"] is not None:
-        keep = datapipe.stratified_cap([len(s) for _, s in scenarios], ds_params["cap"], seed)
-        scenarios = [(c, [s[i] for i in idx]) for (c, s), idx in zip(scenarios, keep)]
     t1 = time.perf_counter()
-    manifest = datapipe.build_dataset(scenarios, args.out, seed,
-                                      ds_params["train_fraction"]).manifest
+    manifest = datapipe.build_dataset(scenarios, args.out, seed, ds_cfg.train_fraction).manifest
     t2 = time.perf_counter()
     n_train = int(np.sum(np.asarray(manifest["split"]) == 1))
     print(f"wrote {manifest['n_records']} records -> {os.path.join(args.out, 'samples.bin')}")
@@ -109,7 +104,7 @@ def cmd_finetune(args) -> int:
     _echo("finetune", {"data": args.data, "out": args.out, "task": args.task,
                        "init": args.init, "checkpoint": args.checkpoint, "seeds": seeds,
                        "finetune": dataclasses.asdict(fcfg),
-                       "pretrain": {k: getattr(pcfg, k) for k in pt.ARCHITECTURE_FIELDS}})
+                       "pretrain": {k: getattr(pcfg, k) for k in cfgmod.ARCHITECTURE_FIELDS}})
     jobs = min(args.jobs, len(seeds))
     if jobs > 1:
         spawn = multiprocessing.get_context("spawn")

@@ -1,7 +1,8 @@
-"""YAML experiment configs and built-in presets.
+"""YAML experiment configs, the dataclasses they are read into, and the one
+reader.
 
 A config file is a mapping of at most three sections, each a mapping:
-`dataset` (seed, split fraction, cap, and the scenario list; its shared
+`dataset` (seed, split fraction and the scenario list; its shared
 `geometry` block gives defaults for any scenario field), `pretrain`, and
 `finetune`.  The encoder architecture (`widths`, `kernel_size`,
 `embed_dim`) is declared once, in `pretrain`: fine-tuning, pretrained and
@@ -11,36 +12,154 @@ reference-scale parameters) and any section value can be overridden by a
 user file or CLI flag.
 
 Each section, scenario entry and array geometry is read by one reader,
-`pretrain.config_from_dict`, from the field types its dataclass declares:
-a list is read as a tuple, an int or a numeric string as a float (YAML 1.1
-reads `1.0e7` as a string).  Any other type mismatch, a bool for an int
-included, and any unknown key or section is a ConfigError naming it.
+`config_from_dict(cls, d, section)`, from the field types its dataclass
+declares.  A mapping is read as a nested dataclass.  A list is read as a
+tuple of the declared length and element types (`tuple[int, ...]` takes
+any length), each element by the same rules.  An int or a numeric string
+is read as a float (YAML 1.1 reads `1.0e7` as a string), and a float must
+be finite.  Any other type mismatch, a bool for an int included, a wrong
+tuple length, a NaN or infinity, and any unknown or missing key or section
+is a ConfigError naming it, down to the element (`pretrain.widths[1]`).
 """
 
 import dataclasses
 import importlib.resources
+import math
+import typing
 
 import yaml
 
 from .chanmodel import ScenarioConfig
 from .errors import ConfigError
-from .finetune import FinetuneConfig
-from .pretrain import ARCHITECTURE_FIELDS, PretrainConfig, config_from_dict
+from .nncore.layers import EncoderConfig
 
 SECTIONS = ("dataset", "pretrain", "finetune")
+
+# The PretrainConfig fields that declare the encoder architecture.  The
+# supervised baseline and every fine-tune run use this same declaration.
+ARCHITECTURE_FIELDS = ("widths", "kernel_size", "embed_dim")
+
+
+def config_from_dict(cls, d, section: str):
+    """Read the mapping `d` into the dataclass `cls` by its fields' declared
+    types, then validate it; errors name keys under `section`."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{section} must be a mapping, got {d!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(f"{section}.{k}" for k in set(d) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}")
+    missing = [f"{section}.{n}" for n, f in fields.items() if n not in d
+               and f.default is dataclasses.MISSING is f.default_factory]
+    if missing:
+        raise ConfigError(f"missing config keys {missing}")
+    obj = cls(**{k: _read_field(fields[k].type, v, f"{section}.{k}") for k, v in d.items()})
+    return obj.validated() if hasattr(obj, "validated") else obj
+
+
+def _read_field(kind, value, name: str):
+    if dataclasses.is_dataclass(kind) and isinstance(value, dict):
+        return config_from_dict(kind, value, name)
+    if typing.get_origin(kind) is tuple and type(value) in (list, tuple):
+        kinds = typing.get_args(kind)
+        if kinds[-1] is Ellipsis:
+            kinds = kinds[:1] * len(value)
+        if len(value) != len(kinds):
+            raise ConfigError(f"{name} must have {len(kinds)} elements, got {value!r}")
+        return tuple(_read_field(k, v, f"{name}[{i}]")
+                     for i, (k, v) in enumerate(zip(kinds, value)))
+    if kind is float and type(value) in (float, int, str):
+        try:
+            number = float(value)
+        except ValueError:
+            pass
+        else:
+            if not math.isfinite(number):
+                raise ConfigError(f"{name} must be a finite float, got {value!r}")
+            return number
+    if type(value) is not kind:
+        raise ConfigError(f"{name} must be {getattr(kind, '__name__', kind)}, got {value!r}")
+    return value
 
 
 @dataclasses.dataclass(frozen=True)
 class DatasetConfig:
     seed: int = 0
     train_fraction: float = 0.8
-    cap: int = 0                    # records kept over all scenarios; 0 keeps all
     geometry: dict = dataclasses.field(default_factory=dict)   # scenario field defaults
     scenarios: list = dataclasses.field(default_factory=list)  # ScenarioConfig mappings
 
     def validated(self) -> "DatasetConfig":
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"dataset.train_fraction must be in (0,1), got {self.train_fraction}")
+        return self
+
+    def scenario_configs(self) -> list:
+        """The scenarios as validated ScenarioConfigs, each entry read over
+        the shared `geometry` defaults."""
+        if not self.scenarios:
+            raise ConfigError("config needs a dataset section with a nonempty scenario list")
+        out = [config_from_dict(ScenarioConfig, {**self.geometry, **e} if isinstance(e, dict)
+                                else e, f"dataset.scenarios[{i}]")
+               for i, e in enumerate(self.scenarios)]
+        ids = [c.scenario_id for c in out]
+        if len(set(ids)) != len(ids):
+            raise ConfigError(f"duplicate scenario_id in {ids}")
+        return out
+
+
+@dataclasses.dataclass(frozen=True)
+class PretrainConfig:
+    seed: int = 0
+    batch_size: int = 128
+    lr: float = 8e-4
+    weight_decay: float = 0.01
+    max_epochs: int = 300
+    patience: int = 30
+    lr_factor: float = 0.8
+    lr_interval: int = 10
+    tau_init: float = 0.07
+    tau_min: float = 0.01
+    symmetric: bool = False
+    holdout_fraction: float = 0.1
+    widths: tuple[int, ...] = (16, 32, 64)
+    kernel_size: int = 3
+    embed_dim: int = 128
+
+    def validated(self) -> "PretrainConfig":
+        if self.batch_size < 2:
+            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        if not (0.0 < self.holdout_fraction < 1.0):
+            raise ConfigError(f"holdout_fraction must be in (0,1), got {self.holdout_fraction}")
+        if self.tau_init < self.tau_min or self.tau_min <= 0:
+            raise ConfigError(f"need tau_init >= tau_min > 0, got {self.tau_init}, {self.tau_min}")
+        if self.max_epochs < 1 or self.patience < 1:
+            raise ConfigError(f"max_epochs and patience must be >= 1")
+        return self
+
+    def encoder_config(self, in_height: int, in_width: int) -> EncoderConfig:
+        """The declared encoder architecture at an input of in_height x
+        in_width bins: the one place an EncoderConfig is built from config
+        values."""
+        return EncoderConfig(in_height=in_height, in_width=in_width, widths=self.widths,
+                             kernel_size=self.kernel_size,
+                             embed_dim=self.embed_dim).validated()
+
+
+@dataclasses.dataclass(frozen=True)
+class FinetuneConfig:
+    batch_size: int = 32
+    lr: float = 8e-4
+    weight_decay: float = 0.01
+    epochs: int = 40
+    label_budget: int = 0          # 0 = use the full training split
+    head_hidden: int = 64
+
+    def validated(self) -> "FinetuneConfig":
+        if self.batch_size < 1 or self.epochs < 1 or self.head_hidden < 1:
+            raise ConfigError(f"bad finetune config: {self}")
+        if self.label_budget < 0:
+            raise ConfigError(f"label_budget must be >= 0, got {self.label_budget}")
         return self
 
 
@@ -78,32 +197,17 @@ def load_config(name_or_path: str) -> dict:
     return cfg
 
 
-def _dataset_config(cfg: dict) -> DatasetConfig:
+def dataset_config(cfg: dict) -> DatasetConfig:
     return config_from_dict(DatasetConfig, cfg.get("dataset", {}), "dataset")
 
 
 def scenario_configs(cfg: dict) -> list:
-    """The dataset section's scenarios as validated ScenarioConfigs, each
-    entry read over the shared `geometry` defaults."""
-    ds = _dataset_config(cfg)
-    if not ds.scenarios:
-        raise ConfigError("config needs a dataset section with a nonempty scenario list")
-    out = [config_from_dict(ScenarioConfig, {**ds.geometry, **e} if isinstance(e, dict) else e,
-                            f"dataset.scenarios[{i}]") for i, e in enumerate(ds.scenarios)]
-    ids = [c.scenario_id for c in out]
-    if len(set(ids)) != len(ids):
-        raise ConfigError(f"duplicate scenario_id in {ids}")
-    return out
-
-
-def dataset_params(cfg: dict) -> dict:
-    ds = _dataset_config(cfg)
-    return {"seed": ds.seed, "train_fraction": ds.train_fraction, "cap": ds.cap or None}
+    return dataset_config(cfg).scenario_configs()
 
 
 def pretrain_config(cfg: dict, **overrides) -> PretrainConfig:
     given = {k: v for k, v in overrides.items() if v is not None}
-    return PretrainConfig.from_dict({**cfg.get("pretrain", {}), **given})
+    return config_from_dict(PretrainConfig, {**cfg.get("pretrain", {}), **given}, "pretrain")
 
 
 def finetune_config(cfg: dict, **overrides) -> FinetuneConfig:
@@ -113,4 +217,4 @@ def finetune_config(cfg: dict, **overrides) -> FinetuneConfig:
         raise ConfigError(f"finetune keys {moved} are not allowed: the encoder "
                           f"architecture is declared once, under pretrain")
     given = {k: v for k, v in overrides.items() if v is not None}
-    return FinetuneConfig.from_dict({**section, **given})
+    return config_from_dict(FinetuneConfig, {**section, **given}, "finetune")

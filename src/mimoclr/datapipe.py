@@ -246,23 +246,6 @@ def split_dataset(manifest: dict, fraction: float, seed: int) -> dict:
     return manifest
 
 
-def stratified_cap(scenario_sizes, cap: int, seed: int):
-    """Per-scenario subset selection: scenarios at or below `cap` are kept
-    whole; larger ones contribute `cap` records drawn uniformly without
-    replacement.  Returns a list of sorted index arrays, one per scenario.
-    """
-    if cap <= 0:
-        raise ConfigError(f"cap must be positive, got {cap}")
-    selected = []
-    for k, size in enumerate(scenario_sizes):
-        if size <= cap:
-            selected.append(np.arange(size))
-        else:
-            rng = stream(seed, "stratified-cap", k)
-            selected.append(np.sort(rng.choice(size, size=cap, replace=False)))
-    return selected
-
-
 _TASK_LABELS = ("positioning", "beam", "los")
 
 # Records per loader block: as many as keep one block's complex128 CSI

@@ -21,6 +21,7 @@ import os
 
 import numpy as np
 
+from .config import FinetuneConfig, PretrainConfig
 from .datapipe import Dataset, load_batch
 from .errors import (ConfigError, ContractError, DataError, DegenerateDataError,
                      TrainingDivergenceError)
@@ -29,8 +30,7 @@ from .nncore.layers import Encoder, Head, HeadConfig, prefixed
 from .nncore.losses import cross_entropy_loss, mse_loss
 from .nncore.optim import AdamW
 from .nncore.tensor import Tensor, no_grad
-from .pretrain import (FORWARD_CHUNK, PretrainConfig, config_from_dict, encode_batch,
-                       load_pretrain_state)
+from .pretrain import FORWARD_CHUNK, encode_batch, load_pretrain_state
 from .rngstream import stream
 
 KIND_ALIASES = {
@@ -70,25 +70,6 @@ def make_task_spec(kind: str, dataset: Dataset) -> TaskSpec:
     if canonical == "beam_management":
         return TaskSpec(canonical, int(dataset.manifest["codebook"]["n_beams"]))
     return TaskSpec(canonical, 2)
-
-
-@dataclasses.dataclass(frozen=True)
-class FinetuneConfig:
-    batch_size: int = 32
-    lr: float = 8e-4
-    weight_decay: float = 0.01
-    epochs: int = 40
-    label_budget: int = 0          # 0 = use the full training split
-    head_hidden: int = 64
-
-    def validated(self) -> "FinetuneConfig":
-        if self.batch_size < 1 or self.epochs < 1 or self.head_hidden < 1:
-            raise ConfigError(f"bad finetune config: {self}")
-        if self.label_budget < 0:
-            raise ConfigError(f"label_budget must be >= 0, got {self.label_budget}")
-        return self
-
-    from_dict = classmethod(config_from_dict)
 
 
 @dataclasses.dataclass

@@ -20,11 +20,12 @@ import os
 
 import numpy as np
 
+from .config import PretrainConfig, config_from_dict
 from .datapipe import Dataset, load_batch
 from .errors import ConfigError, ContractError, DataError
 from .nncore import checkpoint as ckpt
 from .nncore import tensor as T
-from .nncore.layers import Encoder, EncoderConfig, prefixed
+from .nncore.layers import Encoder, prefixed
 from .nncore.losses import contrastive_loss
 from .nncore.optim import AdamW, LRPlateau
 from .nncore.tensor import Tensor
@@ -39,90 +40,10 @@ log = logging.getLogger(__name__)
 # record's output does not depend on the chunk size.
 FORWARD_CHUNK = 64
 
-# The PretrainConfig fields that declare the encoder architecture.  The
-# supervised baseline and every fine-tune run use this same declaration.
-ARCHITECTURE_FIELDS = ("widths", "kernel_size", "embed_dim")
-
 # Meta "version" of a pretraining checkpoint.  Version 2 trained the CIR
 # encoder on the n_taps-wide delay view; checkpoints without the key
 # trained it on that view zero-padded to n_subcarriers, and are refused.
 CHECKPOINT_VERSION = 2
-
-
-def config_from_dict(cls, d, section: str = None):
-    """Read a config-file section into the dataclass `cls` by its fields'
-    declared types, then validate it.  A list is read as a tuple, a mapping
-    as a nested dataclass, an int or numeric string (YAML 1.1 reads "1.0e7"
-    as one) as a float; any other type mismatch (a bool for an int too), a
-    non-mapping section, or an unknown or missing key is a ConfigError."""
-    section = section or cls.__name__.removesuffix("Config").lower()
-    if not isinstance(d, dict):
-        raise ConfigError(f"{section} must be a mapping, got {d!r}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(f"{section}.{k}" for k in set(d) - set(fields))
-    if unknown:
-        raise ConfigError(f"unknown config keys {unknown}")
-    missing = [f"{section}.{n}" for n, f in fields.items() if n not in d
-               and f.default is dataclasses.MISSING is f.default_factory]
-    if missing:
-        raise ConfigError(f"missing config keys {missing}")
-    obj = cls(**{k: _read_field(fields[k].type, v, f"{section}.{k}") for k, v in d.items()})
-    return obj.validated() if hasattr(obj, "validated") else obj
-
-
-def _read_field(kind: type, value, name: str):
-    if dataclasses.is_dataclass(kind) and isinstance(value, dict):
-        return config_from_dict(kind, value, name)
-    if kind is tuple and type(value) is list:
-        return tuple(value)
-    if kind is float and type(value) in (int, str):
-        try:
-            return float(value)
-        except ValueError:
-            pass
-    if type(value) is not kind:
-        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
-    return value
-
-
-@dataclasses.dataclass(frozen=True)
-class PretrainConfig:
-    seed: int = 0
-    batch_size: int = 128
-    lr: float = 8e-4
-    weight_decay: float = 0.01
-    max_epochs: int = 300
-    patience: int = 30
-    lr_factor: float = 0.8
-    lr_interval: int = 10
-    tau_init: float = 0.07
-    tau_min: float = 0.01
-    symmetric: bool = False
-    holdout_fraction: float = 0.1
-    widths: tuple = (16, 32, 64)
-    kernel_size: int = 3
-    embed_dim: int = 128
-
-    def validated(self) -> "PretrainConfig":
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if not (0.0 < self.holdout_fraction < 1.0):
-            raise ConfigError(f"holdout_fraction must be in (0,1), got {self.holdout_fraction}")
-        if self.tau_init < self.tau_min or self.tau_min <= 0:
-            raise ConfigError(f"need tau_init >= tau_min > 0, got {self.tau_init}, {self.tau_min}")
-        if self.max_epochs < 1 or self.patience < 1:
-            raise ConfigError(f"max_epochs and patience must be >= 1")
-        return self
-
-    def encoder_config(self, in_height: int, in_width: int) -> EncoderConfig:
-        """The declared encoder architecture at an input of in_height x
-        in_width bins: the one place an EncoderConfig is built from config
-        values."""
-        return EncoderConfig(in_height=in_height, in_width=in_width, widths=self.widths,
-                             kernel_size=self.kernel_size,
-                             embed_dim=self.embed_dim).validated()
-
-    from_dict = classmethod(config_from_dict)
 
 
 @dataclasses.dataclass
@@ -341,7 +262,7 @@ def load_pretrain_state(path: str):
         raise ConfigError(
             f"{path} has pretraining checkpoint version {meta.get('version')}, not "
             f"{CHECKPOINT_VERSION} (CIR encoder trained on the n_taps-wide view); pretrain again")
-    config = PretrainConfig.from_dict(meta["config"])
+    config = config_from_dict(PretrainConfig, meta["config"], "pretrain")
     ec = meta["encoder_config"]
     state = init_pretrain_state(config, ec["in_height"], ec["in_width"])
     for name, p in state.parameters().items():

@@ -12,17 +12,12 @@ import pytest
 
 from mimoclr import datapipe
 from mimoclr.chanmodel import ScenarioConfig, generate_scenario
-from mimoclr.config import (dataset_params, load_config, pretrain_config,
-                            scenario_configs)
+from mimoclr.config import dataset_config, load_config, pretrain_config
 from mimoclr.pretrain import run_pretraining
 
 
-def _build(tmpdir, cfgs, seed, fraction, cap=None):
+def _build(tmpdir, cfgs, seed, fraction):
     scenarios = [(c, generate_scenario(c, seed)) for c in cfgs]
-    if cap is not None:
-        keep = datapipe.stratified_cap([len(s) for _, s in scenarios], cap, seed)
-        scenarios = [(c, [s[i] for i in idx])
-                     for (c, s), idx in zip(scenarios, keep)]
     return datapipe.build_dataset(scenarios, str(tmpdir), seed, fraction)
 
 
@@ -45,10 +40,8 @@ def mini_dataset(mini_root):
 def desk_dataset(tmp_path_factory):
     """The full desk preset: 4 scenarios, 2560 samples."""
     root = tmp_path_factory.mktemp("desk")
-    cfg = load_config("desk")
-    params = dataset_params(cfg)
-    return _build(root, scenario_configs(cfg), seed=params["seed"],
-                  fraction=params["train_fraction"], cap=params["cap"])
+    ds = dataset_config(load_config("desk"))
+    return _build(root, ds.scenario_configs(), seed=ds.seed, fraction=ds.train_fraction)
 
 
 @pytest.fixture(scope="session")

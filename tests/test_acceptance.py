@@ -19,8 +19,7 @@ from mimoclr import datapipe, finetune as ft, pretrain as pt
 from mimoclr.chanmodel import (build_codebook, generate_scenario, optimal_beam,
                                synthesize_cir, synthesize_csi)
 from mimoclr.cli import main
-from mimoclr.config import (dataset_params, finetune_config, load_config,
-                            pretrain_config, scenario_configs)
+from mimoclr.config import finetune_config, load_config, pretrain_config, scenario_configs
 from mimoclr.nncore import tensor as T
 from mimoclr.nncore.layers import Encoder, EncoderConfig, Head, HeadConfig, prefixed
 from mimoclr.nncore.losses import contrastive_loss, cross_entropy_loss, mse_loss

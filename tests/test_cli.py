@@ -13,6 +13,7 @@ import yaml
 import mimoclr
 from mimoclr import datapipe, finetune as ft, pretrain as pt
 from mimoclr.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, main
+from mimoclr.config import pretrain_config
 from mimoclr.nncore import checkpoint
 
 CONFIG = {
@@ -478,7 +479,7 @@ def test_pinned_malloc_thresholds_reuse_freed_buffers():
 
 def test_verbose_flag_logs_the_dropped_tail_batch(mini_root, mini_dataset, tmp_path, capsys):
     pcfg = {"seed": 0, "lr": 2e-3, "max_epochs": 1, "widths": [4, 8, 16], "embed_dim": 8}
-    n_fit = pt._inner_split(mini_dataset, pt.PretrainConfig.from_dict(pcfg))[0].size
+    n_fit = pt._inner_split(mini_dataset, pretrain_config({"pretrain": pcfg}))[0].size
     cfg_path = tmp_path / "config.yaml"
     cfg_path.write_text(yaml.safe_dump({"pretrain": {**pcfg, "batch_size": n_fit - 1}}))
     runs = {}

@@ -9,7 +9,6 @@ import yaml
 from mimoclr import config as C
 from mimoclr.cli import EXIT_CONFIG, main
 from mimoclr.errors import ConfigError
-from mimoclr.pretrain import ARCHITECTURE_FIELDS
 
 
 def test_builtin_presets_present():
@@ -24,8 +23,7 @@ def test_presets_expand(name):
     assert len(scens) >= 2
     for s in scens:
         assert isinstance(s.bandwidth_hz, float) and s.bandwidth_hz > 0
-    params = C.dataset_params(cfg)
-    assert 0 < params["train_fraction"] < 1
+    assert 0 < C.dataset_config(cfg).train_fraction < 1
     pcfg = C.pretrain_config(cfg)
     assert isinstance(pcfg.lr, float) and pcfg.lr > 0
     fcfg = C.finetune_config(cfg)
@@ -44,7 +42,7 @@ def test_preset_architecture_fits_its_geometry(name):
         assert (enc.in_height, enc.in_width) == (p, s.n_subcarriers)
         assert (enc.widths, enc.kernel_size, enc.embed_dim) == \
             (pcfg.widths, pcfg.kernel_size, pcfg.embed_dim)
-    assert not set(cfg["finetune"]) & set(ARCHITECTURE_FIELDS)
+    assert not set(cfg["finetune"]) & set(C.ARCHITECTURE_FIELDS)
 
 
 def test_desk_preset_values():
@@ -136,7 +134,7 @@ def test_malformed_yaml_rejected(tmp_path):
 
 
 BASE = {
-    "dataset": {"seed": 3, "train_fraction": 0.8, "cap": 0,
+    "dataset": {"seed": 3, "train_fraction": 0.8,
                 "geometry": {"tx_geometry": {"rows": 2, "cols": 2, "spacing": 0.5},
                              "rx_geometry": {"rows": 2, "cols": 1},
                              "n_taps": 32, "n_subcarriers": 64, "codebook_size": 4,
@@ -165,6 +163,13 @@ MALFORMED = [
     (("pretrain", "widths"), 8, "pretrain.widths"),
     (("finetune", "epochs"), "ten", "finetune.epochs"),
     (("dataset", "geometry", "tx_geometry"), 4, "tx_geometry"),
+    (("dataset", "scenarios", 0, "scatterer_count"), [24, "x"],
+     "dataset.scenarios[0].scatterer_count[1]"),
+    (("dataset", "scenarios", 0, "bs_position"), [0.0, 0.0], "dataset.scenarios[0].bs_position"),
+    (("pretrain", "widths"), [4, 8.5, 16], "pretrain.widths[1]"),
+    (("dataset", "scenarios", 0, "path_count"), [3], "dataset.scenarios[0].path_count"),
+    (("pretrain", "lr"), "nan", "pretrain.lr"),
+    (("dataset", "geometry", "bandwidth_hz"), float("inf"), "dataset.scenarios[0].bandwidth_hz"),
 ]
 MALFORMED_IDS = [".".join(map(str, where)) + f"={value!r}" for where, value, _ in MALFORMED]
 
@@ -183,7 +188,8 @@ def malformed_config(tmp_path, where, value) -> str:
 
 def test_base_config_reads(tmp_path):
     cfg = C.load_config(malformed_config(tmp_path, ("dataset", "seed"), 3))
-    assert C.dataset_params(cfg) == {"seed": 3, "train_fraction": 0.8, "cap": None}
+    ds = C.dataset_config(cfg)
+    assert (ds.seed, ds.train_fraction) == (3, 0.8)
     assert C.scenario_configs(cfg)[0].tx_geometry.n_elements == 4
     assert C.pretrain_config(cfg).widths == (4, 8, 16)
     assert C.finetune_config(cfg).epochs == 2
@@ -195,7 +201,7 @@ def test_reader_refuses_malformed_values(tmp_path, where, value, named):
     path = malformed_config(tmp_path, where, value)
     with pytest.raises(ConfigError, match=re.escape(named)):
         cfg = C.load_config(path)
-        C.dataset_params(cfg)
+        C.dataset_config(cfg)
         C.scenario_configs(cfg)
         C.pretrain_config(cfg)
         C.finetune_config(cfg)
@@ -212,6 +218,21 @@ def test_cli_exits_config_on_malformed_values(tmp_path, capsys, where, value, na
         where[0], ["generate", "--config", path, "--out", data])
     assert main(argv) == EXIT_CONFIG
     assert named in capsys.readouterr().err
+
+
+def test_generate_echo_reads_back(tmp_path, capsys):
+    """The dataset block `generate` echoes, nested geometry and tuples
+    included, reads back as a dataset section into the same seed, split
+    fraction and scenarios."""
+    path = malformed_config(tmp_path, ("dataset", "scenarios", 0, "scatterer_count"), [4, 8])
+    assert main(["generate", "--config", path, "--out", str(tmp_path / "data")]) == 0
+    echo = "\n".join(line[2:] for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("# "))
+    echoed = tmp_path / "echoed.yaml"
+    echoed.write_text(yaml.safe_dump({"dataset": yaml.safe_load(echo)["dataset"]}))
+    ds, again = C.dataset_config(C.load_config(path)), C.dataset_config(C.load_config(str(echoed)))
+    assert (again.seed, again.train_fraction) == (ds.seed, ds.train_fraction)
+    assert again.scenario_configs() == ds.scenario_configs()
 
 
 def test_geometry_block_gives_defaults_for_any_scenario_field(tmp_path):

@@ -213,20 +213,6 @@ def test_split_partition(tmp_path):
     assert len(train) + len(val) == ds.n_records
 
 
-def test_stratified_cap_counts():
-    sel = datapipe.stratified_cap([30000, 60000], 50000, 0)
-    assert [len(s) for s in sel] == [30000, 50000]
-    sel = datapipe.stratified_cap([10, 20], 50, 0)
-    assert [len(s) for s in sel] == [10, 20]
-    assert np.array_equal(sel[0], np.arange(10))  # identity below the cap
-    a = datapipe.stratified_cap([10], 3, 7)[0]
-    b = datapipe.stratified_cap([10], 3, 7)[0]
-    assert np.array_equal(a, b)
-    assert np.array_equal(a, np.sort(a)) and len(set(a.tolist())) == 3
-    with pytest.raises(ConfigError):
-        datapipe.stratified_cap([10], 0, 0)
-
-
 def test_load_batch_shapes_and_determinism(tmp_path):
     ds, _, _, _ = build_dataset(tmp_path)
     idx = ds.train_indices()[:16]

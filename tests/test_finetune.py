@@ -7,7 +7,7 @@ import pytest
 
 from mimoclr import finetune as F
 from mimoclr import pretrain as P
-from mimoclr.config import load_config, pretrain_config
+from mimoclr.config import config_from_dict, load_config, pretrain_config
 from mimoclr.errors import ConfigError, ContractError, DataError
 from mimoclr.nncore.layers import Encoder, EncoderConfig, prefixed
 
@@ -45,7 +45,7 @@ def test_task_specs(mini_dataset):
     with pytest.raises(ConfigError):
         F.make_task_spec("detection", mini_dataset)
     with pytest.raises(ConfigError, match="coordinate_dim"):
-        F.FinetuneConfig.from_dict({"coordinate_dim": 2})
+        config_from_dict(F.FinetuneConfig, {"coordinate_dim": 2}, "finetune")
 
 
 def test_head_init_identical_across_init_modes(mini_dataset, mini_checkpoint):

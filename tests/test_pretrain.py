@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mimoclr import finetune as F, pretrain as P
-from mimoclr.config import load_config, pretrain_config
+from mimoclr.config import config_from_dict, load_config, pretrain_config
 from mimoclr.errors import ConfigError, ContractError
 from mimoclr.nncore import checkpoint as ckpt
 from mimoclr.nncore.layers import prefixed
@@ -86,7 +86,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         P.PretrainConfig(holdout_fraction=0.0).validated()
     with pytest.raises(ConfigError):
-        P.PretrainConfig.from_dict({"learning_rate": 1e-3})
+        config_from_dict(P.PretrainConfig, {"learning_rate": 1e-3}, "pretrain")
 
 
 def test_loss_at_random_init_is_near_log_batch(mini_dataset):
