@@ -99,9 +99,8 @@ class DatasetConfig:
         the shared `geometry` defaults."""
         if not self.scenarios:
             raise ConfigError("config needs a dataset section with a nonempty scenario list")
-        out = [config_from_dict(ScenarioConfig, {**self.geometry, **e} if isinstance(e, dict)
-                                else e, f"dataset.scenarios[{i}]")
-               for i, e in enumerate(self.scenarios)]
+        out = [config_from_dict(ScenarioConfig, {**self.geometry, **e} if isinstance(e, dict) else e,
+                                f"dataset.scenarios[{i}]") for i, e in enumerate(self.scenarios)]
         ids = [c.scenario_id for c in out]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate scenario_id in {ids}")
