@@ -8,20 +8,23 @@ structure, and sweeps the beam codebook the way a base station would.
 
 import numpy as np
 
-from mimoclr.chanmodel import (ScenarioConfig, beam_powers, build_codebook,
+from mimoclr.chanmodel import (Layout, ScenarioConfig, beam_powers, build_codebook,
                                generate_scenario, optimal_beam, steering_vector,
                                synthesize_cir)
 
+# the layout (arrays, tap grid, bandwidth) is the dataset's; the scenario is
+# the propagation environment
+layout = Layout()
 cfg = ScenarioConfig(scenario_id=0, n_ue=200, cell_radius=150.0,
                      blockage_prob=0.35)
 print("scenario:", cfg.n_ue, "users in a", cfg.cell_radius, "m cell,")
-print("          base station", cfg.tx_geometry.rows, "x", cfg.tx_geometry.cols,
+print("          base station", layout.tx_geometry.rows, "x", layout.tx_geometry.cols,
       "UPA at", cfg.bs_position[2], "m height,",
       f"{cfg.blockage_prob:.0%} LoS blockage probability")
-print("          tap resolution:", f"{cfg.tap_length_m:.1f} m of path length per tap")
+print("          tap resolution:", f"{layout.tap_length_m:.1f} m of path length per tap")
 print()
 
-samples = generate_scenario(cfg, seed=0)
+samples = generate_scenario(cfg, layout, seed=0)
 los_frac = np.mean([s.los_label for s in samples])
 n_paths = [len(s.paths) for s in samples]
 print(f"generated {len(samples)} samples: LoS fraction {los_frac:.2f} "
@@ -35,20 +38,20 @@ d = np.linalg.norm(np.asarray(s.ue_position) - np.asarray(cfg.bs_position))
 print(f"user at {tuple(round(v, 1) for v in s.ue_position)}, {d:.1f} m from the BS:")
 for p in s.paths:
     kind = "LoS " if p.is_los else "scat"
-    print(f"  {kind} tap {p.delay_tap:3d} ({p.delay_tap * cfg.tap_length_m:6.1f} m) "
+    print(f"  {kind} tap {p.delay_tap:3d} ({p.delay_tap * layout.tap_length_m:6.1f} m) "
           f"|gain| {abs(p.gain):.5f}  AoD az {np.degrees(p.aod_az):+6.1f} deg")
 print()
 
 # the delay-domain channel is sparse: energy sits on the path taps only
-h = synthesize_cir(s, cfg.tx_geometry, cfg.rx_geometry, cfg.n_taps)
+h = synthesize_cir(s, layout.tx_geometry, layout.rx_geometry, layout.n_taps)
 tap_energy = np.sum(np.abs(h) ** 2, axis=(0, 1))
 occupied = np.nonzero(tap_energy > 0)[0]
-print(f"CIR tensor {h.shape}: {len(occupied)} of {cfg.n_taps} taps carry energy "
+print(f"CIR tensor {h.shape}: {len(occupied)} of {layout.n_taps} taps carry energy "
       f"(taps {occupied.tolist()})")
 print()
 
 # beam sweep: received power per codebook entry, argmax = serving beam
-cb = build_codebook(cfg.tx_geometry, cfg.codebook_size)
+cb = build_codebook(layout.tx_geometry)
 powers = beam_powers(h, cb)
 best = optimal_beam(h, cb)
 print(f"codebook sweep over {cb.n_beams} beams:")
@@ -61,6 +64,6 @@ assert best == s.beam_label, "stored label disagrees with the sweep"
 print()
 
 # steering vectors are unit-norm by construction
-v = steering_vector(cfg.tx_geometry, az=0.3, el=-0.05)
+v = steering_vector(layout.tx_geometry, az=0.3, el=-0.05)
 print(f"steering vector toward (az 0.3, el -0.05): norm {np.linalg.norm(v):.6f}, "
       f"first elements {np.round(v[:3], 3)}")

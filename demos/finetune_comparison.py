@@ -11,7 +11,7 @@ subset, same data order).
 
 import tempfile
 
-from mimoclr.chanmodel import ScenarioConfig, generate_scenario
+from mimoclr.chanmodel import Layout, ScenarioConfig, generate_scenario
 from mimoclr.datapipe import build_dataset
 from mimoclr.finetune import FinetuneConfig, improvement_report, run_sweep
 from mimoclr.pretrain import PretrainConfig, run_pretraining
@@ -20,8 +20,9 @@ from mimoclr.pretrain import PretrainConfig, run_pretraining
 tmp = tempfile.mkdtemp(prefix="ftcomp_")
 cfgs = [ScenarioConfig(scenario_id=0, n_ue=150),
         ScenarioConfig(scenario_id=1, n_ue=150, cell_radius=100.0, blockage_prob=0.45)]
-scenarios = [(c, generate_scenario(c, seed=0)) for c in cfgs]
-ds = build_dataset(scenarios, tmp, seed=0, train_fraction=0.8)
+layout = Layout()
+scenarios = [(c, generate_scenario(c, layout, seed=0)) for c in cfgs]
+ds = build_dataset(scenarios, tmp, seed=0, train_fraction=0.8, layout=layout)
 
 # --- stage 1: pretraining on unlabeled pairs -------------------------------
 # The pretraining config declares the encoder architecture; both arms of

@@ -12,7 +12,7 @@ import tempfile
 
 import numpy as np
 
-from mimoclr.chanmodel import ScenarioConfig, generate_scenario
+from mimoclr.chanmodel import Layout, ScenarioConfig, generate_scenario
 from mimoclr.datapipe import build_dataset
 from mimoclr.pretrain import (PretrainConfig, embedding_spread, encode_batch,
                               evaluate_pairs, init_pretrain_state, load_pairs,
@@ -22,8 +22,9 @@ from mimoclr.pretrain import (PretrainConfig, embedding_spread, encode_batch,
 tmp = tempfile.mkdtemp(prefix="smallpre_")
 cfgs = [ScenarioConfig(scenario_id=0, n_ue=150),
         ScenarioConfig(scenario_id=1, n_ue=150, cell_radius=100.0, blockage_prob=0.25)]
-scenarios = [(c, generate_scenario(c, seed=0)) for c in cfgs]
-ds = build_dataset(scenarios, tmp, seed=0, train_fraction=0.8)
+layout = Layout()
+scenarios = [(c, generate_scenario(c, layout, seed=0)) for c in cfgs]
+ds = build_dataset(scenarios, tmp, seed=0, train_fraction=0.8, layout=layout)
 print(f"dataset: {ds.n_records} records, {len(ds.train_indices())} train / "
       f"{len(ds.val_indices())} val")
 

@@ -11,7 +11,7 @@ here, so `python -m mimoclr.cli` runs it only once).
 """
 
 from . import chanmodel, config, datapipe, finetune, nncore, pretrain, sigproc
-from .chanmodel import (ArrayGeometry, ChannelSample, Codebook, PathParams,
+from .chanmodel import (ArrayGeometry, ChannelSample, Codebook, Layout, PathParams,
                         ScenarioConfig, beam_powers, build_codebook, generate_scenario,
                         optimal_beam, steering_vector, steering_vectors, synthesize_cir,
                         synthesize_csi)

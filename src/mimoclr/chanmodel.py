@@ -11,6 +11,8 @@ Axis conventions used throughout the package:
     CIR  h[rx, tx, tap]          complex, shape [n_rx, n_tx, n_taps]
     CSI  H[rx, tx, subcarrier]   complex, shape [n_rx, n_tx, n_sc]
 UPA elements are flattened row-major: element (r, c) -> index r * cols + c.
+Every scenario of a dataset is generated on its one `Layout` (arrays, grid,
+bandwidth); a `ScenarioConfig` holds the propagation environment only.
 """
 
 from dataclasses import dataclass, field, replace
@@ -126,17 +128,13 @@ def _path_steering(sample: ChannelSample, tx: ArrayGeometry, rx: ArrayGeometry):
     return a_rx, a_tx
 
 
-def build_codebook(geom: ArrayGeometry, n_beams: int) -> Codebook:
+def build_codebook(geom: ArrayGeometry) -> Codebook:
     """2-D DFT codebook for a UPA: Kronecker product of the rows-point and
     cols-point unitary DFT vectors.  Beam b = p * cols + q has element (r, c)
     equal to exp(-2j*pi*(r*p/rows + c*q/cols)) / sqrt(rows*cols).
 
     The resulting B = rows*cols columns are orthonormal.
     """
-    if n_beams != geom.n_elements:
-        raise ConfigError(
-            f"codebook size {n_beams} must equal the array element count {geom.n_elements}"
-        )
     f_rows = np.exp(-2j * np.pi * np.outer(np.arange(geom.rows), np.arange(geom.rows)) / geom.rows)
     f_cols = np.exp(-2j * np.pi * np.outer(np.arange(geom.cols), np.arange(geom.cols)) / geom.cols)
     vectors = np.kron(f_rows, f_cols) / np.sqrt(geom.n_elements)
@@ -204,8 +202,33 @@ def optimal_beam(csi: np.ndarray, cb: Codebook) -> int:
 
 
 @dataclass(frozen=True)
+class Layout:
+    """What every record of a dataset shares: the arrays, the tap and
+    subcarrier grid, the bandwidth.  Read from a config's `dataset.geometry`."""
+
+    tx_geometry: ArrayGeometry = field(default_factory=lambda: ArrayGeometry(4, 4))
+    rx_geometry: ArrayGeometry = field(default_factory=lambda: ArrayGeometry(2, 1))
+    n_taps: int = 32
+    n_subcarriers: int = 64
+    bandwidth_hz: float = 10e6
+
+    @property
+    def tap_length_m(self) -> float:
+        """Path length represented by one delay tap."""
+        return SPEED_OF_LIGHT / self.bandwidth_hz
+
+    def validated(self) -> "Layout":
+        if not 1 <= self.n_taps <= self.n_subcarriers:
+            raise ConfigError(f"dataset.geometry.n_taps must be in [1, n_subcarriers "
+                              f"{self.n_subcarriers}], got {self.n_taps}")
+        if not self.bandwidth_hz > 0:
+            raise ConfigError(f"dataset.geometry.bandwidth_hz must be > 0, got {self.bandwidth_hz}")
+        return self
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """One synthetic environment.  All lengths in meters, angles in radians."""
+    """One propagation environment.  All lengths in meters, angles in radians."""
 
     scenario_id: int
     n_ue: int
@@ -220,17 +243,6 @@ class ScenarioConfig:
     los_exponent: float = 2.0               # |gain| ~ length^(-eta/2)
     nlos_exponent: float = 3.5
     ref_gain: float = 100.0                 # gain scale: |g| = ref_gain * L^(-eta/2)
-    tx_geometry: ArrayGeometry = field(default_factory=lambda: ArrayGeometry(4, 4))
-    rx_geometry: ArrayGeometry = field(default_factory=lambda: ArrayGeometry(2, 1))
-    n_taps: int = 32
-    n_subcarriers: int = 64
-    codebook_size: int = 16
-    bandwidth_hz: float = 10e6
-
-    @property
-    def tap_length_m(self) -> float:
-        """Path length represented by one delay tap."""
-        return SPEED_OF_LIGHT / self.bandwidth_hz
 
     def validated(self) -> "ScenarioConfig":
         if self.n_ue <= 0:
@@ -246,13 +258,6 @@ class ScenarioConfig:
         if not 0 < self.min_distance < self.cell_radius:
             raise ConfigError(
                 f"need 0 < min_distance < cell_radius, got {self.min_distance}, {self.cell_radius}"
-            )
-        if self.n_taps > self.n_subcarriers:
-            raise ConfigError(f"n_taps {self.n_taps} exceeds n_subcarriers {self.n_subcarriers}")
-        if self.codebook_size != self.tx_geometry.n_elements:
-            raise ConfigError(
-                f"codebook_size {self.codebook_size} must equal tx element count "
-                f"{self.tx_geometry.n_elements}"
             )
         return self
 
@@ -303,7 +308,7 @@ def scatterer_field(config: ScenarioConfig, seed: int) -> np.ndarray:
     return np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
 
 
-def _generate_sample(config: ScenarioConfig, seed: int, index: int,
+def _generate_sample(config: ScenarioConfig, layout: Layout, seed: int, index: int,
                      scatterers: np.ndarray, codebook: Codebook) -> ChannelSample:
     rng = stream(seed, "sample", config.scenario_id, index)
     bs = np.asarray(config.bs_position, dtype=float)
@@ -319,11 +324,11 @@ def _generate_sample(config: ScenarioConfig, seed: int, index: int,
     los_tap = None
     if not blocked:
         d = float(np.linalg.norm(ue - bs))
-        los_tap = int(round(d / config.tap_length_m))
-        if los_tap >= config.n_taps:
+        los_tap = int(round(d / layout.tap_length_m))
+        if los_tap >= layout.n_taps:
             raise GenerationError(
                 f"scenario {config.scenario_id} sample {index}: LoS delay tap {los_tap} "
-                f"exceeds the grid of {config.n_taps} taps (distance {d:.1f} m)"
+                f"exceeds the grid of {layout.n_taps} taps (distance {d:.1f} m)"
             )
         amp = config.ref_gain * d ** (-config.los_exponent / 2.0)
         phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -337,8 +342,8 @@ def _generate_sample(config: ScenarioConfig, seed: int, index: int,
     for j in order:
         if len(paths) >= n_target:
             break
-        tap = int(round(lengths[j] / config.tap_length_m))
-        if tap >= config.n_taps or (los_tap is not None and tap == los_tap):
+        tap = int(round(lengths[j] / layout.tap_length_m))
+        if tap >= layout.n_taps or (los_tap is not None and tap == los_tap):
             continue
         amp = config.ref_gain * lengths[j] ** (-config.nlos_exponent / 2.0)
         phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -348,7 +353,7 @@ def _generate_sample(config: ScenarioConfig, seed: int, index: int,
     if not paths:
         raise GenerationError(
             f"scenario {config.scenario_id} sample {index}: no representable paths "
-            f"within the {config.n_taps}-tap grid"
+            f"within the {layout.n_taps}-tap grid"
         )
     paths.sort(key=lambda p: (p.delay_tap, not p.is_los))
 
@@ -362,22 +367,23 @@ def _generate_sample(config: ScenarioConfig, seed: int, index: int,
     # By Parseval a beam's power summed over the subcarriers is n_subcarriers
     # times its power summed over the taps, so sweeping the taps that carry a
     # path gives the same argmax as sweeping the CSI, at a fraction of the cost.
-    cir = synthesize_cir(sample, config.tx_geometry, config.rx_geometry, config.n_taps)
+    cir = synthesize_cir(sample, layout.tx_geometry, layout.rx_geometry, layout.n_taps)
     occupied = cir[:, :, occupied_taps(sample)]
     return replace(sample, beam_label=optimal_beam(occupied, codebook),
                    tap_channels=occupied.astype(np.complex64))
 
 
-def generate_scenario(config: ScenarioConfig, seed: int) -> list:
-    """Generate all ChannelSamples of one scenario.
+def generate_scenario(config: ScenarioConfig, layout: Layout, seed: int) -> list:
+    """Generate all ChannelSamples of one scenario on the dataset's layout.
 
-    Pure function of (config, seed): every sample draws from its own
+    Pure function of (config, layout, seed): every sample draws from its own
     counter-based stream, so the output is independent of generation order.
     """
     config = config.validated()
-    codebook = build_codebook(config.tx_geometry, config.codebook_size)
+    layout = layout.validated()
+    codebook = build_codebook(layout.tx_geometry)
     scatterers = scatterer_field(config, seed)
     return [
-        _generate_sample(config, seed, i, scatterers, codebook)
+        _generate_sample(config, layout, seed, i, scatterers, codebook)
         for i in range(config.n_ue)
     ]

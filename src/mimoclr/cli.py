@@ -50,14 +50,17 @@ def cmd_generate(args) -> int:
     ds_cfg = cfgmod.dataset_config(cfgmod.load_config(args.config))
     seed = ds_cfg.seed if args.seed is None else args.seed
     scen_cfgs = ds_cfg.scenario_configs()
+    layout = ds_cfg.geometry
     _echo("generate", {"seed": seed, "out": args.out,
                        "dataset": {"seed": seed, "train_fraction": ds_cfg.train_fraction,
+                                   "geometry": dataclasses.asdict(layout),
                                    "scenarios": [dataclasses.asdict(c) for c in scen_cfgs]}})
 
     t0 = time.perf_counter()
-    scenarios = [(c, chanmodel.generate_scenario(c, seed)) for c in scen_cfgs]
+    scenarios = [(c, chanmodel.generate_scenario(c, layout, seed)) for c in scen_cfgs]
     t1 = time.perf_counter()
-    manifest = datapipe.build_dataset(scenarios, args.out, seed, ds_cfg.train_fraction).manifest
+    manifest = datapipe.build_dataset(scenarios, args.out, seed, ds_cfg.train_fraction,
+                                      layout).manifest
     t2 = time.perf_counter()
     n_train = int(np.sum(np.asarray(manifest["split"]) == 1))
     print(f"wrote {manifest['n_records']} records -> {os.path.join(args.out, 'samples.bin')}")

@@ -2,11 +2,12 @@
 reader.
 
 A config file is a mapping of at most three sections, each a mapping:
-`dataset` (seed, split fraction and the scenario list; its shared
-`geometry` block gives defaults for any scenario field), `pretrain`, and
-`finetune`.  The encoder architecture (`widths`, `kernel_size`,
-`embed_dim`) is declared once, in `pretrain`: fine-tuning, pretrained and
-scratch alike, uses that same declaration.  Presets ship inside the package
+`dataset` (seed, split fraction, `geometry`: the dataset's chanmodel.Layout,
+and the scenario list, each entry one environment; YAML merge keys, `<<:
+*env`, share values between entries), `pretrain`, and `finetune`.  The
+encoder architecture (`widths`, `kernel_size`, `embed_dim`) is declared
+once, in `pretrain`: fine-tuning, pretrained and scratch alike, uses that
+same declaration.  Presets ship inside the package
 (`desk` for minutes-scale runs on a laptop CPU, `paper` for the
 reference-scale parameters) and any section value can be overridden by a
 user file or CLI flag.
@@ -29,7 +30,7 @@ import typing
 
 import yaml
 
-from .chanmodel import ScenarioConfig
+from .chanmodel import Layout, ScenarioConfig
 from .errors import ConfigError
 from .nncore.layers import EncoderConfig
 
@@ -86,7 +87,7 @@ def _read_field(kind, value, name: str):
 class DatasetConfig:
     seed: int = 0
     train_fraction: float = 0.8
-    geometry: dict = dataclasses.field(default_factory=dict)   # scenario field defaults
+    geometry: Layout = dataclasses.field(default_factory=Layout)
     scenarios: list = dataclasses.field(default_factory=list)  # ScenarioConfig mappings
 
     def validated(self) -> "DatasetConfig":
@@ -95,12 +96,11 @@ class DatasetConfig:
         return self
 
     def scenario_configs(self) -> list:
-        """The scenarios as validated ScenarioConfigs, each entry read over
-        the shared `geometry` defaults."""
+        """The scenarios as validated ScenarioConfigs, one per entry."""
         if not self.scenarios:
             raise ConfigError("config needs a dataset section with a nonempty scenario list")
-        out = [config_from_dict(ScenarioConfig, {**self.geometry, **e} if isinstance(e, dict) else e,
-                                f"dataset.scenarios[{i}]") for i, e in enumerate(self.scenarios)]
+        out = [config_from_dict(ScenarioConfig, e, f"dataset.scenarios[{i}]")
+               for i, e in enumerate(self.scenarios)]
         ids = [c.scenario_id for c in out]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate scenario_id in {ids}")
@@ -198,10 +198,6 @@ def load_config(name_or_path: str) -> dict:
 
 def dataset_config(cfg: dict) -> DatasetConfig:
     return config_from_dict(DatasetConfig, cfg.get("dataset", {}), "dataset")
-
-
-def scenario_configs(cfg: dict) -> list:
-    return dataset_config(cfg).scenario_configs()
 
 
 def pretrain_config(cfg: dict, **overrides) -> PretrainConfig:

@@ -1,4 +1,4 @@
-"""Dataset persistence, splitting, capping, and batch loading.
+"""Dataset persistence, splitting, and batch loading.
 
 Record file: back-to-back variable-length binary records, little-endian.
 
@@ -15,11 +15,12 @@ Record file: back-to-back variable-length binary records, little-endian.
 
 Only the delay-domain response is stored; the frequency response is always
 derived at load time with sigproc.cir_to_csi, so the two views of a sample
-can never drift apart.  The manifest is a JSON sidecar carrying geometry,
-per-record byte offsets, the train/val split, normalization statistics, and
-a sha256 checksum of the record file.  All writes go through
-nncore.checkpoint.atomic_write (temp file plus rename).  build_dataset is
-the one way to turn generated scenarios into a split, normalized dataset.
+can never drift apart.  The manifest is a JSON sidecar carrying the
+dataset's layout and scenario environments, per-record byte offsets, the
+train/val split, normalization statistics, and a sha256 checksum of the
+record file.  All writes go through nncore.checkpoint.atomic_write (temp
+file plus rename).  build_dataset is the one way to turn generated
+scenarios into a split, normalized dataset.
 """
 
 import dataclasses
@@ -31,8 +32,8 @@ import struct
 
 import numpy as np
 
-from .chanmodel import (ArrayGeometry, ChannelSample, PathParams, ScenarioConfig,
-                        occupied_taps, synthesize_cir)
+from .chanmodel import (ArrayGeometry, ChannelSample, Layout, PathParams, occupied_taps,
+                        synthesize_cir)
 from .errors import ConfigError, ContractError, DataError
 from .nncore.checkpoint import atomic_write
 from .rngstream import stream
@@ -76,54 +77,38 @@ def decode_record(buf, offset: int, n_rx: int, n_tx: int, n_taps: int):
     return sample, cir, offset
 
 
-def _stored_cir(sample: ChannelSample, cfg: ScenarioConfig) -> np.ndarray:
+def _stored_cir(sample: ChannelSample, layout: Layout) -> np.ndarray:
     """The complex64 CIR a record stores: the sample's tap_channels at its
     occupied taps when generation kept them, else synthesize_cir; the two
     are bit-equal."""
     if sample.tap_channels is None:
-        return synthesize_cir(sample, cfg.tx_geometry, cfg.rx_geometry,
-                              cfg.n_taps).astype(np.complex64)
-    cir = np.zeros((cfg.rx_geometry.n_elements, cfg.tx_geometry.n_elements, cfg.n_taps),
-                   dtype=np.complex64)
+        return synthesize_cir(sample, layout.tx_geometry, layout.rx_geometry,
+                              layout.n_taps).astype(np.complex64)
+    cir = np.zeros((layout.rx_geometry.n_elements, layout.tx_geometry.n_elements,
+                    layout.n_taps), dtype=np.complex64)
     cir[:, :, occupied_taps(sample)] = sample.tap_channels
     return cir
 
 
-def _geom_dict(g: ArrayGeometry) -> dict:
-    return {"rows": g.rows, "cols": g.cols, "spacing": g.spacing}
-
-
-def _geom_from(d: dict) -> ArrayGeometry:
-    return ArrayGeometry(rows=d["rows"], cols=d["cols"], spacing=d["spacing"])
-
-
-def write_dataset(scenarios, manifest_path: str, records_path: str, seed: int) -> dict:
+def write_dataset(scenarios, manifest_path: str, records_path: str, seed: int,
+                  layout: Layout) -> dict:
     """Persist generated scenarios; returns the manifest dict.
 
     `scenarios` is a list of (ScenarioConfig, samples) pairs as produced by
-    generate_scenario.  All scenarios must agree on array geometry, tap
-    count, subcarrier count, and codebook size; a mismatch refuses the write
-    since records would not share a layout.
+    generate_scenario on `layout`, the one layout every record shares.  The
+    manifest records the layout's fields at its top level and each
+    scenario's environment under `scenarios`.
     """
     if not scenarios:
         raise DataError("refusing to write an empty dataset")
-    ref = scenarios[0][0]
-    for cfg, _ in scenarios[1:]:
-        same = (cfg.tx_geometry == ref.tx_geometry and cfg.rx_geometry == ref.rx_geometry
-                and cfg.n_taps == ref.n_taps and cfg.n_subcarriers == ref.n_subcarriers
-                and cfg.codebook_size == ref.codebook_size)
-        if not same:
-            raise DataError(
-                f"scenario {cfg.scenario_id} geometry differs from scenario {ref.scenario_id}; "
-                "records would not share a layout")
     offsets = []
     scenario_ids = []
     blob = bytearray()
-    for cfg, samples in scenarios:
+    for _, samples in scenarios:
         for s in samples:
             offsets.append(len(blob))
             scenario_ids.append(s.scenario_id)
-            blob.extend(encode_record(s, _stored_cir(s, cfg)))
+            blob.extend(encode_record(s, _stored_cir(s, layout)))
     atomic_write(records_path, blob)
 
     manifest = {
@@ -134,13 +119,9 @@ def write_dataset(scenarios, manifest_path: str, records_path: str, seed: int) -
         "n_records": len(offsets),
         "offsets": offsets,
         "scenario_ids": scenario_ids,
-        "tx_geometry": _geom_dict(ref.tx_geometry),
-        "rx_geometry": _geom_dict(ref.rx_geometry),
-        "n_taps": ref.n_taps,
-        "n_subcarriers": ref.n_subcarriers,
-        "codebook": {"rows": ref.tx_geometry.rows, "cols": ref.tx_geometry.cols,
-                     "n_beams": ref.codebook_size},
-        "bandwidth_hz": ref.bandwidth_hz,
+        **dataclasses.asdict(layout),
+        "codebook": {"rows": layout.tx_geometry.rows, "cols": layout.tx_geometry.cols,
+                     "n_beams": layout.tx_geometry.n_elements},
         "scenarios": [dataclasses.asdict(cfg) for cfg, _ in scenarios],
         "split": None,
         "split_fraction": None,
@@ -172,8 +153,8 @@ class Dataset:
     def __init__(self, manifest: dict, records_blob: bytes):
         self.manifest = manifest
         self._buf = records_blob
-        self.n_rx = _geom_from(manifest["rx_geometry"]).n_elements
-        self.n_tx = _geom_from(manifest["tx_geometry"]).n_elements
+        self.n_rx = ArrayGeometry(**manifest["rx_geometry"]).n_elements
+        self.n_tx = ArrayGeometry(**manifest["tx_geometry"]).n_elements
         self.n_taps = int(manifest["n_taps"])
         self.n_subcarriers = int(manifest["n_subcarriers"])
 
@@ -365,13 +346,15 @@ def attach_norm_stats(manifest: dict, dataset: Dataset) -> dict:
     return manifest
 
 
-def build_dataset(scenarios, out_dir: str, seed: int, train_fraction: float) -> Dataset:
-    """Write `scenarios` to out_dir/samples.bin + out_dir/manifest.json,
-    split them with `seed`, fit train-split normalization statistics, and
-    return the opened dataset (its manifest is the one saved on disk)."""
+def build_dataset(scenarios, out_dir: str, seed: int, train_fraction: float,
+                  layout: Layout) -> Dataset:
+    """Write `scenarios`, generated on `layout`, to out_dir/samples.bin +
+    out_dir/manifest.json, split them with `seed`, fit train-split
+    normalization statistics, and return the opened dataset (its manifest
+    is the one saved on disk)."""
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
-    write_dataset(scenarios, manifest_path, os.path.join(out_dir, "samples.bin"), seed)
+    write_dataset(scenarios, manifest_path, os.path.join(out_dir, "samples.bin"), seed, layout)
     dataset = open_dataset(manifest_path)
     split_dataset(dataset.manifest, train_fraction, seed)
     attach_norm_stats(dataset.manifest, dataset)

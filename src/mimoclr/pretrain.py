@@ -59,6 +59,7 @@ class PretrainState:
     schedule: LRPlateau
     epoch: int = 0
     best_params: dict = None       # parameter arrays of the schedule.best epoch
+    dataset: dict = None           # the trained-on manifest's records_sha256 and split
 
     def tau(self) -> float:
         return float(np.exp(self.log_tau.data))
@@ -246,6 +247,7 @@ def save_pretrain_checkpoint(state: PretrainState, path: str) -> None:
         "lr": state.optimizer.lr,
         "opt_t": state.optimizer.t,
         "schedule": state.schedule.state(),
+        "dataset": state.dataset,
     }
     tensors = {k: p.data for k, p in state.parameters().items()}
     tensors.update(state.optimizer.state_arrays())
@@ -273,6 +275,7 @@ def load_pretrain_state(path: str):
     state.optimizer.lr = float(meta["lr"])
     state.schedule = LRPlateau.from_state(meta["schedule"])
     state.epoch = int(meta["epoch"])
+    state.dataset = meta.get("dataset")
     return state, meta
 
 
@@ -286,11 +289,11 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
     `pretrain_metrics.jsonl` (one record per epoch) under out_dir.  With
     resume=True training continues from the checkpoint and reproduces the
     exact trace an uninterrupted run would have produced.  A resume must
-    pass the config the checkpoint was trained with (ConfigError otherwise);
-    only the max_epochs argument may differ.  A last metrics row torn by a
-    crash during its append is dropped; any other unreadable row raises
-    DataError.  A dataset whose n_taps the declared encoder cannot pool is
-    a ConfigError before any work.
+    pass the config and the dataset (records and split) the checkpoint was
+    trained with (ConfigError otherwise); only max_epochs may differ.  A
+    last metrics row torn by a crash during its append is dropped; any
+    other unreadable row raises DataError.  A dataset whose n_taps the
+    declared encoder cannot pool is a ConfigError before any work.
     """
     config = config.validated()
     p = dataset.n_rx * dataset.n_tx
@@ -304,6 +307,7 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
     cap = config.max_epochs if max_epochs is None else int(max_epochs)
 
     kept_lines = []
+    data_id = {k: dataset.manifest[k] for k in ("records_sha256", "split_seed", "split_fraction")}
     if resume:
         state, _ = load_pretrain_state(ckpt_path)
         changed = [f.name for f in dataclasses.fields(config)
@@ -312,6 +316,11 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
             raise ConfigError(
                 f"cannot resume {ckpt_path}: config differs from the checkpoint's "
                 f"in {changed}")
+        recorded = state.dataset or {}   # a checkpoint without the key: another dataset
+        differ = {k: (recorded.get(k), v) for k, v in data_id.items() if recorded.get(k) != v}
+        if differ:
+            raise ConfigError(f"cannot resume {ckpt_path} on another dataset "
+                              f"(checkpoint, dataset): {differ}")
         if os.path.exists(metrics_path):
             with open(metrics_path, "r", encoding="utf-8") as f:
                 lines = [line.rstrip("\n") + "\n" for line in f if line.strip()]
@@ -325,6 +334,7 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
                             f"{metrics_path} line {i + 1} is not a metrics row: {e}") from e
     else:
         state = init_pretrain_state(config, p, dataset.n_subcarriers)
+        state.dataset = data_id
 
     fit_idx, hold_idx = _inner_split(dataset, config)
     pairs_fit = load_pairs(dataset, fit_idx)

@@ -11,14 +11,14 @@ import tracemalloc
 import pytest
 
 from mimoclr import datapipe
-from mimoclr.chanmodel import ScenarioConfig, generate_scenario
+from mimoclr.chanmodel import Layout, ScenarioConfig, generate_scenario
 from mimoclr.config import dataset_config, load_config, pretrain_config
 from mimoclr.pretrain import run_pretraining
 
 
-def _build(tmpdir, cfgs, seed, fraction):
-    scenarios = [(c, generate_scenario(c, seed)) for c in cfgs]
-    return datapipe.build_dataset(scenarios, str(tmpdir), seed, fraction)
+def _build(tmpdir, cfgs, layout, seed, fraction):
+    scenarios = [(c, generate_scenario(c, layout, seed)) for c in cfgs]
+    return datapipe.build_dataset(scenarios, str(tmpdir), seed, fraction, layout)
 
 
 @pytest.fixture(scope="session")
@@ -33,7 +33,7 @@ def mini_dataset(mini_root):
     cfgs = [ScenarioConfig(scenario_id=0, n_ue=60),
             ScenarioConfig(scenario_id=1, n_ue=60, cell_radius=100.0,
                            blockage_prob=0.25)]
-    return _build(mini_root, cfgs, seed=11, fraction=0.8)
+    return _build(mini_root, cfgs, Layout(), seed=11, fraction=0.8)
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +41,8 @@ def desk_dataset(tmp_path_factory):
     """The full desk preset: 4 scenarios, 2560 samples."""
     root = tmp_path_factory.mktemp("desk")
     ds = dataset_config(load_config("desk"))
-    return _build(root, ds.scenario_configs(), seed=ds.seed, fraction=ds.train_fraction)
+    return _build(root, ds.scenario_configs(), ds.geometry, seed=ds.seed,
+                  fraction=ds.train_fraction)
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from mimoclr import datapipe, finetune as ft, pretrain as pt
 from mimoclr.chanmodel import (build_codebook, generate_scenario, optimal_beam,
                                synthesize_cir, synthesize_csi)
 from mimoclr.cli import main
-from mimoclr.config import finetune_config, load_config, pretrain_config, scenario_configs
+from mimoclr.config import dataset_config, finetune_config, load_config, pretrain_config
 from mimoclr.nncore import tensor as T
 from mimoclr.nncore.layers import Encoder, EncoderConfig, Head, HeadConfig, prefixed
 from mimoclr.nncore.losses import contrastive_loss, cross_entropy_loss, mse_loss
@@ -29,14 +29,16 @@ from mimoclr.sigproc import cir_to_csi
 
 
 def desk_samples(n, seed=0):
-    """First n samples drawn round-robin from the desk scenarios."""
-    cfgs = scenario_configs(load_config("desk"))
+    """The desk layout and the first n samples drawn round-robin from the
+    desk scenarios."""
+    ds = dataset_config(load_config("desk"))
+    cfgs = ds.scenario_configs()
     out = []
     per = n // len(cfgs) + 1
     for c in cfgs:
         small = dataclasses.replace(c, n_ue=per)
-        out.extend((small, s) for s in generate_scenario(small, seed))
-    return out[:n]
+        out.extend(generate_scenario(small, ds.geometry, seed))
+    return ds.geometry, out[:n]
 
 
 # --- 1. Fourier duality ----------------------------------------------------
@@ -46,15 +48,15 @@ def test_fourier_duality_suite():
     t0 = time.monotonic()
     worst_err = 0.0
     worst_parseval = 0.0
-    pairs = desk_samples(1000)
-    for cfg, s in pairs:
-        cir = synthesize_cir(s, cfg.tx_geometry, cfg.rx_geometry, cfg.n_taps)
-        csi = synthesize_csi(s, cfg.tx_geometry, cfg.rx_geometry, cfg.n_subcarriers)
-        err = np.max(np.abs(csi - cir_to_csi(cir, cfg.n_subcarriers)))
+    layout, samples = desk_samples(1000)
+    for s in samples:
+        cir = synthesize_cir(s, layout.tx_geometry, layout.rx_geometry, layout.n_taps)
+        csi = synthesize_csi(s, layout.tx_geometry, layout.rx_geometry, layout.n_subcarriers)
+        err = np.max(np.abs(csi - cir_to_csi(cir, layout.n_subcarriers)))
         ratio = np.sum(np.abs(csi) ** 2) / np.sum(np.abs(cir) ** 2)
         worst_err = max(worst_err, err)
         worst_parseval = max(worst_parseval,
-                             abs(ratio - cfg.n_subcarriers) / cfg.n_subcarriers)
+                             abs(ratio - layout.n_subcarriers) / layout.n_subcarriers)
     wall = time.monotonic() - t0
     assert worst_err < 1e-9
     assert worst_parseval < 1e-9
@@ -161,26 +163,25 @@ def oracle_dft_codebook(geom):
 
 @pytest.mark.slow
 def test_beam_label_oracle():
-    pairs = desk_samples(1000, seed=17)
+    layout, samples = desk_samples(1000, seed=17)
     n_checked = 0
-    for cfg, s in pairs:
-        H = synthesize_csi(s, cfg.tx_geometry, cfg.rx_geometry, cfg.n_subcarriers)
-        wide = oracle_dft_codebook(cfg.tx_geometry)[:, :cfg.codebook_size]
+    for s in samples:
+        H = synthesize_csi(s, layout.tx_geometry, layout.rx_geometry, layout.n_subcarriers)
+        wide = oracle_dft_codebook(layout.tx_geometry)
         assert s.beam_label == oracle_best_beam(H, wide)
         n_checked += 1
     assert n_checked == 1000
 
     # single-path channel aligned with beam b must select b, for every beam
-    cfg = pairs[0][0]
-    cb = build_codebook(cfg.tx_geometry, cfg.codebook_size)
-    a_rx = oracle_steering(cfg.rx_geometry, 0.4, -0.1)
-    for b in range(cfg.codebook_size):
-        h = np.zeros((cfg.rx_geometry.n_elements, cfg.tx_geometry.n_elements, 4),
+    cb = build_codebook(layout.tx_geometry)
+    a_rx = oracle_steering(layout.rx_geometry, 0.4, -0.1)
+    for b in range(cb.n_beams):
+        h = np.zeros((layout.rx_geometry.n_elements, layout.tx_geometry.n_elements, 4),
                      dtype=np.complex128)
         h[:, :, 2] = np.outer(a_rx, np.conj(cb.vectors[:, b]))
         assert optimal_beam(h, cb) == b
     print(f"\nPASS beam oracle: 1000/1000 stored labels match the exhaustive "
-          f"sweep; aligned construction recovers all {cfg.codebook_size} beams")
+          f"sweep; aligned construction recovers all {cb.n_beams} beams")
 
 
 # --- 4. Contrastive sanity -------------------------------------------------
@@ -276,8 +277,7 @@ MINI_CFG = {
         "seed": 3, "train_fraction": 0.8,
         "geometry": {"tx_geometry": {"rows": 4, "cols": 4},
                      "rx_geometry": {"rows": 2, "cols": 1},
-                     "n_taps": 32, "n_subcarriers": 64,
-                     "codebook_size": 16, "bandwidth_hz": 10.0e6},
+                     "n_taps": 32, "n_subcarriers": 64, "bandwidth_hz": 10.0e6},
         "scenarios": [{"scenario_id": 0, "n_ue": 40},
                       {"scenario_id": 1, "n_ue": 40, "cell_radius": 100.0}],
     },

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mimoclr import chanmodel
-from mimoclr.chanmodel import (MAX_PATHS, ArrayGeometry, ChannelSample, Codebook, PathParams,
-                               ScenarioConfig, beam_powers, build_codebook,
+from mimoclr.chanmodel import (MAX_PATHS, ArrayGeometry, ChannelSample, Codebook, Layout,
+                               PathParams, ScenarioConfig, beam_powers, build_codebook,
                                generate_scenario, optimal_beam, scatterer_field, steering_vector,
                                steering_vectors, synthesize_cir, synthesize_csi)
 from mimoclr.errors import ConfigError, ContractError
@@ -103,10 +103,10 @@ def einsum_label_oracle(sample, tx, rx, n_sc, cb):
     return int(np.argmax(np.sum(np.abs(proj) ** 2, axis=(0, 1))))
 
 
-DESK = dict(tx_geometry=ArrayGeometry(4, 4), rx_geometry=ArrayGeometry(2, 1),
-            n_taps=32, n_subcarriers=64, codebook_size=16)
-PAPER = dict(tx_geometry=ArrayGeometry(8, 8), rx_geometry=ArrayGeometry(2, 2),
-             n_taps=64, n_subcarriers=256, codebook_size=64, bandwidth_hz=2e7)
+DESK = Layout(tx_geometry=ArrayGeometry(4, 4), rx_geometry=ArrayGeometry(2, 1),
+              n_taps=32, n_subcarriers=64)
+PAPER = Layout(tx_geometry=ArrayGeometry(8, 8), rx_geometry=ArrayGeometry(2, 2),
+               n_taps=64, n_subcarriers=256, bandwidth_hz=2e7)
 
 
 # ---------------------------------------------------------------- geometry
@@ -190,7 +190,7 @@ def test_steering_rows_reject_nonfinite():
 
 def test_codebook_matches_elementwise_oracle():
     geom = ArrayGeometry(4, 4)
-    cb = build_codebook(geom, 16)
+    cb = build_codebook(geom)
     assert cb.vectors.shape == (16, 16)
     for b in range(16):
         assert np.allclose(cb.vectors[:, b], dft_beam_oracle(geom, b), atol=1e-12)
@@ -199,14 +199,9 @@ def test_codebook_matches_elementwise_oracle():
 def test_codebook_orthonormal():
     for rows, cols in [(4, 4), (2, 1), (3, 5)]:
         geom = ArrayGeometry(rows, cols)
-        cb = build_codebook(geom, rows * cols)
+        cb = build_codebook(geom)
         gram = cb.vectors.conj().T @ cb.vectors
         assert np.allclose(gram, np.eye(rows * cols), atol=1e-12)
-
-
-def test_codebook_size_mismatch():
-    with pytest.raises(ConfigError):
-        build_codebook(ArrayGeometry(4, 4), 8)
 
 
 # ---------------------------------------------------------------- synthesis
@@ -249,8 +244,8 @@ def test_csi_equals_dft_of_cir():
     # at desk and at paper geometry (BLAS takes other kernels at each)
     rng = np.random.default_rng(11)
     for geo, n_samples in ((DESK, 5), (PAPER, 3)):
-        tx, rx = geo["tx_geometry"], geo["rx_geometry"]
-        n_taps, n_sc = geo["n_taps"], geo["n_subcarriers"]
+        tx, rx = geo.tx_geometry, geo.rx_geometry
+        n_taps, n_sc = geo.n_taps, geo.n_subcarriers
         for _ in range(n_samples):
             s = random_sample(rng, n_paths=int(rng.integers(1, 8)), n_taps=n_taps)
             cir = synthesize_cir(s, tx, rx, n_taps)
@@ -264,8 +259,8 @@ def test_csi_equals_dft_of_cir():
 
 @pytest.mark.parametrize("geo", [DESK, PAPER], ids=["desk", "paper"])
 def test_cir_bit_equal_per_path_oracle(geo):
-    tx, rx, n_taps = geo["tx_geometry"], geo["rx_geometry"], geo["n_taps"]
-    samples = generate_scenario(ScenarioConfig(scenario_id=3, n_ue=50, **geo), seed=4)
+    tx, rx, n_taps = geo.tx_geometry, geo.rx_geometry, geo.n_taps
+    samples = generate_scenario(ScenarioConfig(scenario_id=3, n_ue=50), geo, seed=4)
     # Many paths on few taps, so the order in which paths are added shows.
     rng = np.random.default_rng(23)
     samples += [random_sample(rng, n_paths=MAX_PATHS, n_taps=3, replace=True)
@@ -277,11 +272,11 @@ def test_cir_bit_equal_per_path_oracle(geo):
 
 @pytest.mark.parametrize("geo", [DESK, PAPER], ids=["desk", "paper"])
 def test_generated_labels_equal_einsum_oracle(geo):
-    cfg = ScenarioConfig(scenario_id=1, n_ue=50, **geo)
-    cb = build_codebook(cfg.tx_geometry, cfg.codebook_size)
-    for s in generate_scenario(cfg, seed=8):
-        assert s.beam_label == einsum_label_oracle(s, cfg.tx_geometry, cfg.rx_geometry,
-                                                   cfg.n_subcarriers, cb)
+    cfg = ScenarioConfig(scenario_id=1, n_ue=50)
+    cb = build_codebook(geo.tx_geometry)
+    for s in generate_scenario(cfg, geo, seed=8):
+        assert s.beam_label == einsum_label_oracle(s, geo.tx_geometry, geo.rx_geometry,
+                                                   geo.n_subcarriers, cb)
 
 
 # ---------------------------------------------------------------- beams
@@ -291,15 +286,14 @@ def test_tap_sweep_is_csi_sweep_over_k(geo):
     # Parseval: over the K subcarriers a beam collects K times its power over
     # the taps, and only taps that carry a path hold any.  Many paths on
     # three taps cover paths that add coherently on one tap.
-    tx, rx, n_taps, k = (geo["tx_geometry"], geo["rx_geometry"], geo["n_taps"],
-                         geo["n_subcarriers"])
-    cb = build_codebook(tx, geo["codebook_size"])
+    tx, rx, n_taps, k = geo.tx_geometry, geo.rx_geometry, geo.n_taps, geo.n_subcarriers
+    cb = build_codebook(tx)
     rng = np.random.default_rng(29)
     samples = [random_sample(rng, n_paths=int(rng.integers(1, 8)), n_taps=n_taps)
                for _ in range(10)]
     samples += [random_sample(rng, n_paths=MAX_PATHS, n_taps=3, replace=True)
                 for _ in range(10)]
-    samples += generate_scenario(ScenarioConfig(scenario_id=2, n_ue=20, **geo), seed=6)
+    samples += generate_scenario(ScenarioConfig(scenario_id=2, n_ue=20), geo, seed=6)
     for s in samples:
         cir = synthesize_cir(s, tx, rx, n_taps)
         want = beam_powers(synthesize_csi(s, tx, rx, k), cb)
@@ -313,18 +307,18 @@ def test_generate_builds_no_csi(monkeypatch):
         raise AssertionError("generate_scenario synthesized a CSI")
     monkeypatch.setattr(chanmodel, "synthesize_csi", refuse)
     for geo in (DESK, PAPER):
-        samples = generate_scenario(ScenarioConfig(scenario_id=0, n_ue=5, **geo), seed=3)
+        samples = generate_scenario(ScenarioConfig(scenario_id=0, n_ue=5), geo, seed=3)
         assert len(samples) == 5
 
 
 def test_beam_powers_and_optimal_match_brute_force():
     rng = np.random.default_rng(19)
     for geo, n_samples in ((DESK, 20), (PAPER, 4)):
-        tx, rx, n_beams = geo["tx_geometry"], geo["rx_geometry"], geo["codebook_size"]
-        cb = build_codebook(tx, n_beams)
+        tx, rx, n_beams = geo.tx_geometry, geo.rx_geometry, geo.tx_geometry.n_elements
+        cb = build_codebook(tx)
         for _ in range(n_samples):
-            s = random_sample(rng, n_paths=int(rng.integers(1, 8)), n_taps=geo["n_taps"])
-            csi = synthesize_csi(s, tx, rx, geo["n_subcarriers"])
+            s = random_sample(rng, n_paths=int(rng.integers(1, 8)), n_taps=geo.n_taps)
+            csi = synthesize_csi(s, tx, rx, geo.n_subcarriers)
             powers = beam_powers(csi, cb)
             want = np.array([beam_power_oracle(csi, cb.vectors[:, b]) for b in range(n_beams)])
             assert np.allclose(powers, want, rtol=1e-12)
@@ -342,7 +336,7 @@ def test_aligned_channel_selects_each_beam():
     # Channel built as outer(a_rx, conj(s_b)): transmitting s_b is then
     # perfectly matched, so the label must equal b for every codebook column.
     tx, rx = ArrayGeometry(4, 4), ArrayGeometry(2, 1)
-    cb = build_codebook(tx, 16)
+    cb = build_codebook(tx)
     a_rx = steering_oracle(rx, 0.4, -0.1)
     for b in range(16):
         H = np.outer(a_rx, np.conj(cb.vectors[:, b]))[:, :, None] * np.ones(64)
@@ -364,10 +358,14 @@ def test_scenario_config_validation():
         desk_scenario(n_ue=0).validated()
     with pytest.raises(ConfigError):
         desk_scenario(path_count=(0, 5)).validated()
-    with pytest.raises(ConfigError):
-        desk_scenario(n_taps=128).validated()
-    with pytest.raises(ConfigError):
-        desk_scenario(codebook_size=8).validated()
+
+
+@pytest.mark.parametrize("field,value", [("n_taps", 0), ("n_taps", 128), ("bandwidth_hz", 0.0),
+                                         ("bandwidth_hz", -1.0e7)])
+def test_layout_validation(field, value):
+    with pytest.raises(ConfigError, match=f"dataset.geometry.{field}"):
+        Layout(**{field: value}).validated()
+    assert Layout().validated() == DESK
 
 
 def test_scatterer_field_fixed_per_scenario():
@@ -383,19 +381,19 @@ def test_scatterer_field_fixed_per_scenario():
 
 def test_generate_scenario_deterministic():
     cfg = desk_scenario()
-    a = generate_scenario(cfg, seed=3)
-    b = generate_scenario(cfg, seed=3)
+    a = generate_scenario(cfg, DESK, seed=3)
+    b = generate_scenario(cfg, DESK, seed=3)
     assert a == b
     assert len(a) == cfg.n_ue
 
 
 def test_generated_samples_well_formed():
     cfg = desk_scenario(n_ue=60)
-    samples = generate_scenario(cfg, seed=2)
+    samples = generate_scenario(cfg, DESK, seed=2)
     for s in samples:
         assert 1 <= len(s.paths) <= 20
         taps = [p.delay_tap for p in s.paths]
-        assert all(0 <= t < cfg.n_taps for t in taps)
+        assert all(0 <= t < DESK.n_taps for t in taps)
         assert taps == sorted(taps)
         n_los = sum(p.is_los for p in s.paths)
         assert n_los == (1 if s.los_label else 0)
@@ -411,19 +409,19 @@ def test_generated_samples_well_formed():
 
 def test_los_fraction_tracks_blockage():
     cfg = desk_scenario(n_ue=400, blockage_prob=0.3)
-    samples = generate_scenario(cfg, seed=9)
+    samples = generate_scenario(cfg, DESK, seed=9)
     frac = np.mean([s.los_label for s in samples])
     assert abs(frac - 0.7) < 0.08
 
 
 def test_generated_beam_labels_match_brute_force():
     cfg = desk_scenario(n_ue=50)
-    cb = build_codebook(cfg.tx_geometry, cfg.codebook_size)
-    for s in generate_scenario(cfg, seed=21):
-        csi = synthesize_csi(s, cfg.tx_geometry, cfg.rx_geometry, cfg.n_subcarriers)
+    cb = build_codebook(DESK.tx_geometry)
+    for s in generate_scenario(cfg, DESK, seed=21):
+        csi = synthesize_csi(s, DESK.tx_geometry, DESK.rx_geometry, DESK.n_subcarriers)
         assert s.beam_label == best_beam_oracle(csi, cb)
 
 
 def test_different_seeds_differ():
     cfg = desk_scenario()
-    assert generate_scenario(cfg, 0) != generate_scenario(cfg, 1)
+    assert generate_scenario(cfg, DESK, 0) != generate_scenario(cfg, DESK, 1)

@@ -23,8 +23,7 @@ CONFIG = {
         "geometry": {
             "tx_geometry": {"rows": 4, "cols": 4},
             "rx_geometry": {"rows": 2, "cols": 1},
-            "n_taps": 32, "n_subcarriers": 64,
-            "codebook_size": 16, "bandwidth_hz": 10.0e6,
+            "n_taps": 32, "n_subcarriers": 64, "bandwidth_hz": 10.0e6,
         },
         "scenarios": [
             {"scenario_id": 0, "n_ue": 40},
@@ -166,6 +165,27 @@ def test_pretrain_resume_with_changed_seed_exits_config(work, tmp_path, capsys):
                "--out", str(out_dir), "--resume", "--seed", "5"])
     err = capsys.readouterr().err
     assert rc == EXIT_CONFIG and "seed" in err
+    assert open(out_dir / "pretrain_metrics.jsonl").read() == before
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", 4),
+    ("geometry", dict(CONFIG["dataset"]["geometry"], rx_geometry={"rows": 2, "cols": 2})),
+], ids=["other_seed", "other_rx_array"])
+def test_pretrain_resume_on_another_dataset_exits_config(work, tmp_path, capsys, key, value):
+    other = dict(CONFIG, dataset=dict(CONFIG["dataset"], **{key: value}))
+    cfg_path = tmp_path / "other.yaml"
+    cfg_path.write_text(yaml.safe_dump(other))
+    data = str(tmp_path / "other_data")
+    assert main(["generate", "--config", str(cfg_path), "--out", data]) == 0
+    out_dir = tmp_path / "pre_copy"
+    shutil.copytree(work["pre"], out_dir)
+    before = open(out_dir / "pretrain_metrics.jsonl").read()
+    capsys.readouterr()
+    rc = main(["pretrain", data, "--config", work["config"],
+               "--out", str(out_dir), "--resume", "--epochs", "4"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG and "records_sha256" in err
     assert open(out_dir / "pretrain_metrics.jsonl").read() == before
 
 

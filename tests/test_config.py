@@ -19,11 +19,10 @@ def test_builtin_presets_present():
 @pytest.mark.parametrize("name", ["desk", "paper"])
 def test_presets_expand(name):
     cfg = C.load_config(name)
-    scens = C.scenario_configs(cfg)
-    assert len(scens) >= 2
-    for s in scens:
-        assert isinstance(s.bandwidth_hz, float) and s.bandwidth_hz > 0
-    assert 0 < C.dataset_config(cfg).train_fraction < 1
+    ds = C.dataset_config(cfg)
+    assert len(ds.scenario_configs()) >= 2
+    assert isinstance(ds.geometry.bandwidth_hz, float) and ds.geometry.bandwidth_hz > 0
+    assert 0 < ds.train_fraction < 1
     pcfg = C.pretrain_config(cfg)
     assert isinstance(pcfg.lr, float) and pcfg.lr > 0
     fcfg = C.finetune_config(cfg)
@@ -36,22 +35,22 @@ def test_preset_architecture_fits_its_geometry(name):
     preset's own input of P = rx x tx antenna pairs by K subcarriers."""
     cfg = C.load_config(name)
     pcfg = C.pretrain_config(cfg)
-    for s in C.scenario_configs(cfg):
-        p = s.rx_geometry.n_elements * s.tx_geometry.n_elements
-        enc = pcfg.encoder_config(p, s.n_subcarriers)
-        assert (enc.in_height, enc.in_width) == (p, s.n_subcarriers)
-        assert (enc.widths, enc.kernel_size, enc.embed_dim) == \
-            (pcfg.widths, pcfg.kernel_size, pcfg.embed_dim)
+    geo = C.dataset_config(cfg).geometry
+    p = geo.rx_geometry.n_elements * geo.tx_geometry.n_elements
+    enc = pcfg.encoder_config(p, geo.n_subcarriers)
+    assert (enc.in_height, enc.in_width) == (p, geo.n_subcarriers)
+    assert (enc.widths, enc.kernel_size, enc.embed_dim) == \
+        (pcfg.widths, pcfg.kernel_size, pcfg.embed_dim)
     assert not set(cfg["finetune"]) & set(C.ARCHITECTURE_FIELDS)
 
 
 def test_desk_preset_values():
-    cfg = C.load_config("desk")
-    scens = C.scenario_configs(cfg)
+    ds = C.dataset_config(C.load_config("desk"))
+    scens = ds.scenario_configs()
     assert len(scens) == 4
     assert sum(c.n_ue for c in scens) == 2560
-    assert all(c.n_subcarriers == 64 and c.n_taps == 32 for c in scens)
-    assert all(c.tx_geometry.n_elements == 16 for c in scens)
+    assert (ds.geometry.n_subcarriers, ds.geometry.n_taps) == (64, 32)
+    assert ds.geometry.tx_geometry.n_elements == 16
 
 
 def test_unknown_config_rejected():
@@ -65,7 +64,7 @@ def test_yaml_unsigned_exponent_becomes_float(tmp_path):
     text = """
 dataset:
   geometry: {tx_geometry: {rows: 2, cols: 2}, rx_geometry: {rows: 2, cols: 1},
-             n_taps: 32, n_subcarriers: 64, codebook_size: 4, bandwidth_hz: 2.0e7}
+             n_taps: 32, n_subcarriers: 64, bandwidth_hz: 2.0e7}
   scenarios: [{scenario_id: 0, n_ue: 4}]
 pretrain: {lr: 5.0e4}
 """
@@ -73,44 +72,28 @@ pretrain: {lr: 5.0e4}
     p.write_text(text)
     cfg = C.load_config(str(p))
     assert isinstance(yaml.safe_load(text)["pretrain"]["lr"], str)  # the trap is real
-    assert C.scenario_configs(cfg)[0].bandwidth_hz == 2.0e7
+    assert C.dataset_config(cfg).geometry.bandwidth_hz == 2.0e7
     assert C.pretrain_config(cfg).lr == 5.0e4
-
-
-def test_scenario_overrides_shared_geometry(tmp_path):
-    text = """
-dataset:
-  geometry: {tx_geometry: {rows: 2, cols: 2}, rx_geometry: {rows: 2, cols: 1},
-             n_taps: 32, n_subcarriers: 64, codebook_size: 4, bandwidth_hz: 1.0e+7}
-  scenarios:
-    - {scenario_id: 0, n_ue: 4}
-    - {scenario_id: 1, n_ue: 4, codebook_size: 16, tx_geometry: {rows: 4, cols: 4}}
-"""
-    p = tmp_path / "c.yaml"
-    p.write_text(text)
-    scens = C.scenario_configs(C.load_config(str(p)))
-    assert scens[0].codebook_size == 4 and scens[1].codebook_size == 16
-    assert scens[1].tx_geometry.rows == 4
 
 
 def test_duplicate_scenario_ids_rejected(tmp_path):
     text = """
 dataset:
   geometry: {tx_geometry: {rows: 2, cols: 2}, rx_geometry: {rows: 2, cols: 1},
-             n_taps: 32, n_subcarriers: 64, codebook_size: 4, bandwidth_hz: 1.0e+7}
+             n_taps: 32, n_subcarriers: 64, bandwidth_hz: 1.0e+7}
   scenarios: [{scenario_id: 0, n_ue: 4}, {scenario_id: 0, n_ue: 8}]
 """
     p = tmp_path / "c.yaml"
     p.write_text(text)
     with pytest.raises(ConfigError, match="duplicate"):
-        C.scenario_configs(C.load_config(str(p)))
+        C.dataset_config(C.load_config(str(p))).scenario_configs()
 
 
 def test_unknown_scenario_key_rejected(tmp_path):
     p = tmp_path / "c.yaml"
     p.write_text("dataset:\n  scenarios: [{scenario_id: 0, n_ue: 4, carrier: 3.5}]\n")
     with pytest.raises(ConfigError, match="carrier"):
-        C.scenario_configs(C.load_config(str(p)))
+        C.dataset_config(C.load_config(str(p))).scenario_configs()
 
 
 def test_override_merge():
@@ -137,8 +120,7 @@ BASE = {
     "dataset": {"seed": 3, "train_fraction": 0.8,
                 "geometry": {"tx_geometry": {"rows": 2, "cols": 2, "spacing": 0.5},
                              "rx_geometry": {"rows": 2, "cols": 1},
-                             "n_taps": 32, "n_subcarriers": 64, "codebook_size": 4,
-                             "bandwidth_hz": 1.0e7},
+                             "n_taps": 32, "n_subcarriers": 64, "bandwidth_hz": 1.0e7},
                 "scenarios": [{"scenario_id": 0, "n_ue": 4}]},
     "pretrain": {"batch_size": 16, "lr": 1.0e-3, "widths": [4, 8, 16], "embed_dim": 8},
     "finetune": {"batch_size": 8, "epochs": 2},
@@ -169,7 +151,13 @@ MALFORMED = [
     (("pretrain", "widths"), [4, 8.5, 16], "pretrain.widths[1]"),
     (("dataset", "scenarios", 0, "path_count"), [3], "dataset.scenarios[0].path_count"),
     (("pretrain", "lr"), "nan", "pretrain.lr"),
-    (("dataset", "geometry", "bandwidth_hz"), float("inf"), "dataset.scenarios[0].bandwidth_hz"),
+    (("dataset", "geometry", "bandwidth_hz"), float("inf"), "dataset.geometry.bandwidth_hz"),
+    (("dataset", "geometry", "bandwidth_hz"), 0.0, "dataset.geometry.bandwidth_hz"),
+    (("dataset", "geometry", "bandwidth_hz"), -1.0e7, "dataset.geometry.bandwidth_hz"),
+    (("dataset", "geometry", "n_taps"), 0, "dataset.geometry.n_taps"),
+    (("dataset", "scenarios", 0, "n_taps"), 16, "dataset.scenarios[0].n_taps"),
+    (("dataset", "scenarios", 0, "bandwidth_hz"), 2.0e7, "dataset.scenarios[0].bandwidth_hz"),
+    (("dataset", "geometry", "codebook_size"), 16, "dataset.geometry.codebook_size"),
 ]
 MALFORMED_IDS = [".".join(map(str, where)) + f"={value!r}" for where, value, _ in MALFORMED]
 
@@ -190,7 +178,7 @@ def test_base_config_reads(tmp_path):
     cfg = C.load_config(malformed_config(tmp_path, ("dataset", "seed"), 3))
     ds = C.dataset_config(cfg)
     assert (ds.seed, ds.train_fraction) == (3, 0.8)
-    assert C.scenario_configs(cfg)[0].tx_geometry.n_elements == 4
+    assert ds.geometry.tx_geometry.n_elements == 4
     assert C.pretrain_config(cfg).widths == (4, 8, 16)
     assert C.finetune_config(cfg).epochs == 2
 
@@ -201,8 +189,7 @@ def test_reader_refuses_malformed_values(tmp_path, where, value, named):
     path = malformed_config(tmp_path, where, value)
     with pytest.raises(ConfigError, match=re.escape(named)):
         cfg = C.load_config(path)
-        C.dataset_config(cfg)
-        C.scenario_configs(cfg)
+        C.dataset_config(cfg).scenario_configs()
         C.pretrain_config(cfg)
         C.finetune_config(cfg)
 
@@ -223,7 +210,7 @@ def test_cli_exits_config_on_malformed_values(tmp_path, capsys, where, value, na
 def test_generate_echo_reads_back(tmp_path, capsys):
     """The dataset block `generate` echoes, nested geometry and tuples
     included, reads back as a dataset section into the same seed, split
-    fraction and scenarios."""
+    fraction, layout and scenarios."""
     path = malformed_config(tmp_path, ("dataset", "scenarios", 0, "scatterer_count"), [4, 8])
     assert main(["generate", "--config", path, "--out", str(tmp_path / "data")]) == 0
     echo = "\n".join(line[2:] for line in capsys.readouterr().out.splitlines()
@@ -232,16 +219,19 @@ def test_generate_echo_reads_back(tmp_path, capsys):
     echoed.write_text(yaml.safe_dump({"dataset": yaml.safe_load(echo)["dataset"]}))
     ds, again = C.dataset_config(C.load_config(path)), C.dataset_config(C.load_config(str(echoed)))
     assert (again.seed, again.train_fraction) == (ds.seed, ds.train_fraction)
+    assert again.geometry == ds.geometry
     assert again.scenario_configs() == ds.scenario_configs()
 
 
-def test_geometry_block_gives_defaults_for_any_scenario_field(tmp_path):
+def test_scenarios_share_values_through_merge_keys(tmp_path):
     p = tmp_path / "c.yaml"
-    p.write_text(yaml.safe_dump({"dataset": {
-        "geometry": {"cell_radius": 100, "scatterer_count": [4, 8]},
-        "scenarios": [{"scenario_id": 0, "n_ue": 4},
-                      {"scenario_id": 1, "n_ue": 4, "cell_radius": 90.0}]}}))
-    a, b = C.scenario_configs(C.load_config(str(p)))
+    p.write_text("""
+dataset:
+  scenarios:
+    - &env {scenario_id: 0, n_ue: 4, cell_radius: 100, scatterer_count: [4, 8]}
+    - {<<: *env, scenario_id: 1, cell_radius: 90.0}
+""")
+    a, b = C.dataset_config(C.load_config(str(p))).scenario_configs()
     assert a.cell_radius == 100.0 and isinstance(a.cell_radius, float)
-    assert b.cell_radius == 90.0
+    assert (b.scenario_id, b.n_ue, b.cell_radius) == (1, 4, 90.0)
     assert a.scatterer_count == b.scatterer_count == (4, 8)

@@ -1,4 +1,4 @@
-"""Record layout, manifests, splitting, capping, and batch loading."""
+"""Record layout, manifests, splitting, and batch loading."""
 
 import json
 import math
@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 from mimoclr import chanmodel, datapipe
-from mimoclr.chanmodel import (ArrayGeometry, ScenarioConfig, build_codebook,
-                               generate_scenario, synthesize_cir)
-from mimoclr.config import load_config, scenario_configs
+from mimoclr.chanmodel import (ArrayGeometry, Layout, ScenarioConfig, generate_scenario,
+                               synthesize_cir)
+from mimoclr.config import dataset_config, load_config
 from mimoclr.errors import ConfigError, ContractError, DataError
 from mimoclr.sigproc import cir_to_csi, fit_norm_stats, shape_input
+
+
+DESK = Layout()
 
 
 def small_config(scenario_id=0, n_ue=30, **kw):
@@ -21,12 +24,12 @@ def small_config(scenario_id=0, n_ue=30, **kw):
 
 def small_scenarios(n_ue=30, seed=5):
     cfgs = [small_config(0, n_ue), small_config(1, n_ue, cell_radius=100.0)]
-    return [(c, generate_scenario(c, seed)) for c in cfgs]
+    return [(c, generate_scenario(c, DESK, seed)) for c in cfgs]
 
 
 def build_dataset(tmp_path, n_ue=30, seed=5, fraction=0.8, stats=True):
     scenarios = small_scenarios(n_ue, seed)
-    ds = datapipe.build_dataset(scenarios, str(tmp_path), seed, fraction)
+    ds = datapipe.build_dataset(scenarios, str(tmp_path), seed, fraction, DESK)
     if not stats:
         ds.manifest["norm_stats"] = None
     return ds, scenarios, str(tmp_path / "manifest.json"), str(tmp_path / "samples.bin")
@@ -36,7 +39,7 @@ def _six_call_build(scenarios, out_dir, seed, fraction):
     """The dataset build sequence every caller used to repeat: write,
     split, save, open, fit stats, save, reopen."""
     mpath, rpath = str(out_dir / "manifest.json"), str(out_dir / "samples.bin")
-    manifest = datapipe.write_dataset(scenarios, mpath, rpath, seed)
+    manifest = datapipe.write_dataset(scenarios, mpath, rpath, seed, DESK)
     datapipe.split_dataset(manifest, fraction, seed)
     datapipe.save_manifest(manifest, mpath)
     ds = datapipe.open_dataset(mpath)
@@ -62,7 +65,7 @@ def test_build_dataset_equals_six_call_sequence(tmp_path, monkeypatch):
 
     for name in ("write_dataset", "save_manifest", "open_dataset"):
         monkeypatch.setattr(datapipe, name, counted(name))
-    got = datapipe.build_dataset(scenarios, str(tmp_path / "new"), 5, 0.8)
+    got = datapipe.build_dataset(scenarios, str(tmp_path / "new"), 5, 0.8, DESK)
     monkeypatch.undo()
     # one write (records + manifest), one open, one manifest save
     assert calls == ["write_dataset", "save_manifest", "open_dataset", "save_manifest"]
@@ -80,11 +83,11 @@ def test_build_dataset_equals_six_call_sequence(tmp_path, monkeypatch):
 
 def test_record_round_trip_bit_exact():
     cfg = small_config()
-    samples = generate_scenario(cfg, 3)
+    samples = generate_scenario(cfg, DESK, 3)
     for s in samples[:10]:
-        cir = synthesize_cir(s, cfg.tx_geometry, cfg.rx_geometry, cfg.n_taps)
+        cir = synthesize_cir(s, DESK.tx_geometry, DESK.rx_geometry, DESK.n_taps)
         blob = datapipe.encode_record(s, cir.astype(np.complex64))
-        s2, cir2, off = datapipe.decode_record(blob, 0, 2, 16, cfg.n_taps)
+        s2, cir2, off = datapipe.decode_record(blob, 0, 2, 16, DESK.n_taps)
         assert off == len(blob)
         assert s2 == s
         assert np.array_equal(cir2, cir.astype(np.complex64))
@@ -100,22 +103,22 @@ def record_nbytes(n_paths, n_rx, n_tx, n_taps):
 
 def test_record_size_closed_form():
     cfg = small_config(n_ue=100)
-    samples = generate_scenario(cfg, 1)
+    samples = generate_scenario(cfg, DESK, 1)
     sizes = [len(datapipe.encode_record(
-        s, synthesize_cir(s, cfg.tx_geometry, cfg.rx_geometry, cfg.n_taps).astype(np.complex64)))
+        s, synthesize_cir(s, DESK.tx_geometry, DESK.rx_geometry, DESK.n_taps).astype(np.complex64)))
         for s in samples]
-    assert sizes == [record_nbytes(len(s.paths), 2, 16, cfg.n_taps) for s in samples]
+    assert sizes == [record_nbytes(len(s.paths), 2, 16, DESK.n_taps) for s in samples]
     assert len({len(s.paths) for s in samples}) > 1
 
 
 def test_write_read_dataset_round_trip(tmp_path):
     ds, scenarios, mpath, rpath = build_dataset(tmp_path)
-    flat = [(c, s) for c, samples in scenarios for s in samples]
+    flat = [s for _, samples in scenarios for s in samples]
     assert ds.n_records == len(flat)
-    for i, (cfg, s) in enumerate(flat):
+    for i, s in enumerate(flat):
         got, cir = ds.record(i)
         assert got == s
-        want = synthesize_cir(s, cfg.tx_geometry, cfg.rx_geometry, cfg.n_taps)
+        want = synthesize_cir(s, DESK.tx_geometry, DESK.rx_geometry, DESK.n_taps)
         assert np.array_equal(cir, want.astype(np.complex64))
 
 
@@ -131,7 +134,7 @@ def test_generate_and_write_synthesize_each_cir_once(tmp_path, monkeypatch):
     monkeypatch.setattr(datapipe, "synthesize_cir", counting)
     scenarios = small_scenarios(n_ue=12)
     manifest = datapipe.write_dataset(scenarios, str(tmp_path / "m.json"),
-                                      str(tmp_path / "r.bin"), 5)
+                                      str(tmp_path / "r.bin"), 5, DESK)
     assert len(calls) == len(set(calls)) == manifest["n_records"] == 24
     # samples without their tap channels (decoded records) are synthesized
     # by the writer, into the same bytes
@@ -140,7 +143,7 @@ def test_generate_and_write_synthesize_each_cir_once(tmp_path, monkeypatch):
                for k, (cfg, _) in enumerate(scenarios)]
     assert all(s.tap_channels is None for _, samples in decoded for s in samples)
     again = datapipe.write_dataset(decoded, str(tmp_path / "m2.json"),
-                                   str(tmp_path / "r2.bin"), 5)
+                                   str(tmp_path / "r2.bin"), 5, DESK)
     assert len(calls) == 48
     assert again["records_sha256"] == manifest["records_sha256"]
 
@@ -166,19 +169,12 @@ PINNED_RECORDS_SHA256 = {
 
 @pytest.mark.parametrize("preset,n_ue", sorted(PINNED_RECORDS_SHA256))
 def test_generated_records_keep_their_pinned_bytes(tmp_path, preset, n_ue):
-    cfgs = [dataclasses.replace(c, n_ue=n_ue) for c in scenario_configs(load_config(preset))]
-    scenarios = [(c, generate_scenario(c, 7)) for c in cfgs]
+    ds = dataset_config(load_config(preset))
+    cfgs = [dataclasses.replace(c, n_ue=n_ue) for c in ds.scenario_configs()]
+    scenarios = [(c, generate_scenario(c, ds.geometry, 7)) for c in cfgs]
     manifest = datapipe.write_dataset(scenarios, str(tmp_path / "manifest.json"),
-                                      str(tmp_path / "samples.bin"), 7)
+                                      str(tmp_path / "samples.bin"), 7, ds.geometry)
     assert manifest["records_sha256"] == PINNED_RECORDS_SHA256[preset, n_ue]
-
-
-def test_write_refuses_mixed_geometry(tmp_path):
-    c1 = small_config(0, 5)
-    c2 = dataclasses.replace(small_config(1, 5), rx_geometry=ArrayGeometry(2, 2))
-    scen = [(c1, generate_scenario(c1, 0)), (c2, generate_scenario(c2, 0))]
-    with pytest.raises(DataError):
-        datapipe.write_dataset(scen, str(tmp_path / "m.json"), str(tmp_path / "r.bin"), 0)
 
 
 def test_checksum_detects_corruption(tmp_path):
@@ -351,10 +347,12 @@ def test_block_loader_equals_per_record_loop(mini_dataset, modality, task, case)
 @pytest.fixture(scope="module")
 def paper_geometry_dataset(tmp_path_factory):
     """Five records at the paper preset's geometry (P = 256, K = 256)."""
-    cfg = small_config(0, 5, tx_geometry=ArrayGeometry(8, 8), rx_geometry=ArrayGeometry(2, 2),
-                       n_taps=64, n_subcarriers=256, codebook_size=64, bandwidth_hz=2e7)
+    cfg = small_config(0, 5)
+    layout = Layout(tx_geometry=ArrayGeometry(8, 8), rx_geometry=ArrayGeometry(2, 2),
+                    n_taps=64, n_subcarriers=256, bandwidth_hz=2e7)
     root = tmp_path_factory.mktemp("paper_geometry")
-    return datapipe.build_dataset([(cfg, generate_scenario(cfg, 2))], str(root), 2, 0.8)
+    return datapipe.build_dataset([(cfg, generate_scenario(cfg, layout, 2))], str(root), 2, 0.8,
+                                  layout)
 
 
 @pytest.mark.parametrize("modality", ["cir", "csi"])

@@ -1,16 +1,23 @@
-"""The demo scripts only import names the package still exports.
+"""The demo scripts import only names the package still exports, and each
+one runs to completion.
 
 Each `from mimoclr... import name` in demos/*.py is resolved without
-running the demo, so a removed or renamed library name fails here instead
-of in a walkthrough nobody ran."""
+running the demo, so a removed or renamed library name fails by name here.
+Each demo then runs in a subprocess, so a changed signature fails here
+instead of in a walkthrough nobody ran."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SLOW_DEMOS = ("small_pretrain.py", "finetune_comparison.py")   # seconds each, not tenths
 
 
 def mimoclr_imports(path):
@@ -33,3 +40,15 @@ def test_demo_imports_resolve(demo):
     assert imports, f"{demo.name} imports nothing from mimoclr"
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), f"{demo.name}: {module}.{name}"
+
+
+@pytest.mark.parametrize("demo", [
+    pytest.param(d, id=d.name, marks=[pytest.mark.slow] if d.name in SLOW_DEMOS else [])
+    for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    # the demos write their datasets under mkdtemp and leave them there
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=path)
+    done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
