@@ -323,6 +323,23 @@ def _im2col_slabs(h, wd, kh, kw):
     return slabs
 
 
+def _im2col(xd, slabs, kh, kw):
+    """im2col columns [N, C*kh*kw, H*W] of xd [N, C, H, W] for the offsets
+    in `slabs` (see conv2d)."""
+    n, c, h, wd = xd.shape
+    hw = h * wd
+    xf = xd.reshape(n, c, hw)
+    cols = np.empty((n, c, kh, kw, hw), dtype=xd.dtype)
+    cols6 = cols.reshape(n, c, kh, kw, h, wd)
+    for i, j, s, lo, hi, wrap in slabs:
+        slab = cols[:, :, i, j]
+        slab[..., :lo] = 0
+        slab[..., lo:hi] = xf[..., lo + s:hi + s]
+        slab[..., hi:] = 0
+        cols6[:, :, i, j, :, wrap] = 0
+    return cols.reshape(n, c * kh * kw, hw)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor):
     """2-D convolution, NCHW layout, stride 1, zero 'same' padding.
 
@@ -331,6 +348,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor):
     im2col (Chellapilla et al. 2006) without a padded copy: each kernel
     offset's column slab is one shifted copy of the flat [N, C, H*W] input,
     with the cells that fall in the padding zeroed.
+
+    A recorded graph holds every op's output until backward.  Beyond that,
+    conv2d keeps its input and weights, not the columns (kh*kw times the
+    input): the weight gradient rebuilds them from `x.data` with the same
+    fill.  In an encoder stage relu then keeps a bool mask and avg_pool2d
+    only its input's shape.  Like `mul` and `div`, backward reads `x.data`
+    again, so an in-place edit of the input between forward and backward
+    changes the gradient.
     """
     n, c, h, wd = x.shape
     f, c2, kh, kw = w.shape
@@ -338,18 +363,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor):
         raise ContractError(f"conv weight expects {c2} input channels, got {c}")
     hw = h * wd
     slabs = _im2col_slabs(h, wd, kh, kw)
-    xf = x.data.reshape(n, c, hw)
-    cols = np.empty((n, c, kh, kw, hw), dtype=x.dtype)
-    cols6 = cols.reshape(n, c, kh, kw, h, wd)
-    for i, j, s, lo, hi, wrap in slabs:
-        slab = cols[:, :, i, j]
-        slab[..., :lo] = 0
-        slab[..., lo:hi] = xf[..., lo + s:hi + s]
-        slab[..., hi:] = 0
-        cols6[:, :, i, j, :, wrap] = 0
-    cols2 = cols.reshape(n, c * kh * kw, hw)
     w2 = w.data.reshape(f, c * kh * kw)
-    out = np.matmul(w2, cols2).reshape(n, f, h, wd)
+    out = np.matmul(w2, _im2col(x.data, slabs, kh, kw)).reshape(n, f, h, wd)
     out += b.data[None, :, None, None]
 
     def backward(g):
@@ -357,7 +372,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor):
         if b.requires_grad:
             b._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
         if w.requires_grad:
+            cols2 = _im2col(x.data, slabs, kh, kw)
             dw = np.matmul(gl, cols2.transpose(0, 2, 1)).sum(axis=0)
+            del cols2   # not alive next to dcols
             w._accumulate(dw.reshape(w.shape), owned=True)
         if x.requires_grad:
             # col2im: add each slab back at its shift, in the same (i, j)

@@ -23,9 +23,10 @@ from mimoclr.config import dataset_config, finetune_config, load_config, pretrai
 from mimoclr.nncore import tensor as T
 from mimoclr.nncore.layers import Encoder, EncoderConfig, Head, HeadConfig, prefixed
 from mimoclr.nncore.losses import contrastive_loss, cross_entropy_loss, mse_loss
-from mimoclr.nncore.optim import gradient_check
 from mimoclr.nncore.tensor import Tensor
 from mimoclr.sigproc import cir_to_csi
+
+from gradcheck import gradient_check
 
 
 def desk_samples(n, seed=0):

@@ -4,7 +4,8 @@ one runs to completion.
 Each `from mimoclr... import name` in demos/*.py is resolved without
 running the demo, so a removed or renamed library name fails by name here.
 Each demo then runs in a subprocess, so a changed signature fails here
-instead of in a walkthrough nobody ran."""
+instead of in a walkthrough nobody ran, and must leave its temporary
+directory empty."""
 
 import ast
 import importlib
@@ -46,9 +47,9 @@ def test_demo_imports_resolve(demo):
     pytest.param(d, id=d.name, marks=[pytest.mark.slow] if d.name in SLOW_DEMOS else [])
     for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # the demos write their datasets under mkdtemp and leave them there
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=path)
     done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
                           text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-2000:]
+    assert not any(tmp_path.iterdir()), f"{demo.name} left {sorted(tmp_path.iterdir())}"

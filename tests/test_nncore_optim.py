@@ -8,8 +8,10 @@ from mimoclr.errors import ContractError, TrainingDivergenceError
 from mimoclr.nncore import tensor as T
 from mimoclr.nncore.layers import Encoder, EncoderConfig, Head, HeadConfig, prefixed
 from mimoclr.nncore.losses import contrastive_loss, cross_entropy_loss, mse_loss
-from mimoclr.nncore.optim import AdamW, LRPlateau, gradient_check
+from mimoclr.nncore.optim import AdamW, LRPlateau
 from mimoclr.nncore.tensor import Tensor
+
+from gradcheck import gradient_check
 
 
 def adamw_reference(p, grads, lr, b1=0.9, b2=0.999, eps=1e-8, wd=0.01):

@@ -8,8 +8,9 @@ import pytest
 from mimoclr.errors import ContractError
 from mimoclr.nncore import tensor as T
 from mimoclr.nncore.layers import Encoder, EncoderConfig
-from mimoclr.nncore.optim import gradient_check
 from mimoclr.nncore.tensor import Tensor
+
+from gradcheck import gradient_check
 
 
 def fd_grad(f, x, h=1e-6):

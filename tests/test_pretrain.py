@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,56 @@ def test_epoch_holds_one_step_at_a_time(mini_dataset, traced_peak):
         pairs = train_pairs(mini_dataset, 16 * steps)
         peaks.append(traced_peak(lambda: P.pretrain_epoch(state, pairs)))
     assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
+def stage_activation_bytes(widths, shape):
+    """Bytes a recorded encoder forward of a float32 input of `shape`
+    [N, C, H, W] keeps per stage: conv output, relu output, relu mask (bool)
+    and pool output."""
+    n, _, h, w = shape
+    total = 0
+    for f in widths:
+        cells = n * f * h * w
+        total += 4 * cells + 4 * cells + cells + 4 * (cells // 4)
+        h, w = h // 2, w // 2
+    return total
+
+
+def test_recorded_forward_keeps_only_stage_activations():
+    # desk architecture, both towers, batch 64, no backward yet: im2col
+    # columns kept for backward would add 9.4, 9.4 and 4.7 MB on the CSI
+    # tower and half that on the CIR tower
+    cfg = pretrain_config(load_config("desk"))
+    state = make_state(cfg)
+    rng = np.random.default_rng(0)
+    x_csi = rng.standard_normal((64, 2, 32, 64)).astype(np.float32)
+    x_cir = rng.standard_normal((64, 2, 32, 32)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        z = [state.csi_encoder.forward(Tensor(x_csi)), state.cir_encoder.forward(Tensor(x_cir))]
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(t.requires_grad for t in z)
+    kept = (stage_activation_bytes(cfg.widths, x_csi.shape)
+            + stage_activation_bytes(cfg.widths, x_cir.shape))
+    slack = 2**20   # embeddings, pooled features, tensor objects and closures
+    assert live <= kept + slack, (live, kept)
+
+
+def test_paper_step_peak(traced_peak):
+    # paper geometry (256 antenna pairs, 256 subcarriers, 64 taps), one step
+    # at batch 8: the graph holds 200 MiB of stage activations, and backward
+    # rebuilds one stage's im2col columns at a time (72 MiB at most).  The
+    # step peaks at 301 MiB; keeping every stage's columns until backward
+    # adds 180 MiB (481 MiB)
+    cfg = dataclasses.replace(pretrain_config(load_config("paper")), batch_size=8)
+    state = make_state(cfg, 256, 256)
+    rng = np.random.default_rng(0)
+    pairs = P.PairArrays(rng.standard_normal((8, 2, 256, 256)).astype(np.float32),
+                         rng.standard_normal((8, 2, 256, 64)).astype(np.float32))
+    peak = traced_peak(lambda: P.pretrain_epoch(state, pairs))
+    assert peak <= 320 * 2**20, peak / 2**20
 
 
 def test_training_reduces_loss(mini_dataset):
