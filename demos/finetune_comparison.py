@@ -32,8 +32,8 @@ with tempfile.TemporaryDirectory(prefix="ftcomp_") as tmp:
     pre_cfg = PretrainConfig(seed=0, batch_size=32, lr=2e-3, max_epochs=15,
                              widths=(8, 16, 32), embed_dim=64)
     print("pretraining 15 epochs...")
-    state, rows = run_pretraining(ds, pre_cfg, f"{tmp}/pre")
-    print(f"  final val retrieval {rows[-1]['retrieval']:.3f}, tau {state.tau():.3f}")
+    state = run_pretraining(ds, pre_cfg, f"{tmp}/pre")
+    print(f"  final val retrieval {state.history[-1]['retrieval']:.3f}, tau {state.tau():.3f}")
     print()
 
     # --- stage 2: fine-tune with a 60-label budget, both arms --------------

@@ -78,12 +78,12 @@ def cmd_pretrain(args) -> int:
     _echo("pretrain", {"data": args.data, "out": args.out, "resume": bool(args.resume),
                        "epochs_cap": args.epochs, "pretrain": dataclasses.asdict(pcfg)})
     dataset = datapipe.open_dataset(os.path.join(args.data, "manifest.json"))
-    state, rows = pt.run_pretraining(dataset, pcfg, args.out, resume=args.resume,
-                                     max_epochs=args.epochs)
-    last = rows[-1] if rows else {}
+    state = pt.run_pretraining(dataset, pcfg, args.out, resume=args.resume,
+                               max_epochs=args.epochs)
     print(f"pretraining finished at epoch {state.epoch} "
           f"(best val loss {state.schedule.best:.4f}, tau {state.tau():.4f})")
-    if last:
+    if state.history:
+        last = state.history[-1]
         print(f"last epoch: train {last['train_loss']:.4f}, val {last['val_loss']:.4f}, "
               f"retrieval {last['retrieval']:.3f}")
     print(f"checkpoint: {os.path.join(args.out, 'pretrain.ckpt')}")

@@ -96,7 +96,8 @@ class DatasetConfig:
         return self
 
     def scenario_configs(self) -> list:
-        """The scenarios as validated ScenarioConfigs, one per entry."""
+        """The scenarios as validated ScenarioConfigs, one per entry; their
+        UEs, one record each, must leave at least one training record."""
         if not self.scenarios:
             raise ConfigError("config needs a dataset section with a nonempty scenario list")
         out = [config_from_dict(ScenarioConfig, e, f"dataset.scenarios[{i}]")
@@ -104,6 +105,10 @@ class DatasetConfig:
         ids = [c.scenario_id for c in out]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate scenario_id in {ids}")
+        n_records = sum(c.n_ue for c in out)
+        if math.floor(n_records * self.train_fraction) == 0:
+            raise ConfigError(f"dataset.train_fraction {self.train_fraction} of "
+                              f"{n_records} records leaves no training record")
         return out
 
 

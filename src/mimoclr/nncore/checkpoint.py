@@ -33,6 +33,11 @@ def write_json(path: str, obj) -> None:
     atomic_write(path, (json.dumps(obj, indent=1) + "\n").encode("utf-8"))
 
 
+def write_jsonl(path: str, rows) -> None:
+    """Atomically write `rows` as JSON lines, one object a line."""
+    atomic_write(path, "".join(json.dumps(r) + "\n" for r in rows).encode("utf-8"))
+
+
 def save_checkpoint(path: str, meta: dict, tensors: dict) -> None:
     """Write atomically (see atomic_write)."""
     entries = []

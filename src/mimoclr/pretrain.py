@@ -13,7 +13,6 @@ run can resume bit-identically.
 """
 
 import dataclasses
-import json
 import logging
 import math
 import os
@@ -50,7 +49,9 @@ CHECKPOINT_VERSION = 2
 class PretrainState:
     """The two encoders share `csi_encoder.config`, which a checkpoint
     records as `encoder_config`: the CSI view's geometry (the CIR encoder
-    runs on n_taps columns).  `schedule.best` is the lowest holdout loss."""
+    runs on n_taps columns).  `schedule.best` is the lowest holdout loss.
+    `history` holds one metrics row per trained epoch, the record that
+    `pretrain_metrics.jsonl` exports."""
     config: PretrainConfig
     csi_encoder: Encoder
     cir_encoder: Encoder
@@ -60,6 +61,7 @@ class PretrainState:
     epoch: int = 0
     best_params: dict = None       # parameter arrays of the schedule.best epoch
     dataset: dict = None           # the trained-on manifest's records_sha256 and split
+    history: list = dataclasses.field(default_factory=list)   # metrics rows, epoch 1 on
 
     def tau(self) -> float:
         return float(np.exp(self.log_tau.data))
@@ -112,13 +114,11 @@ def init_pretrain_state(config: PretrainConfig, in_height: int, in_width: int) -
     csi_enc = Encoder.init(enc_cfg, stream(config.seed, "csi-encoder-init"))
     cir_enc = Encoder.init(enc_cfg, stream(config.seed, "cir-encoder-init"))
     log_tau = Tensor(np.float32(np.log(config.tau_init)), requires_grad=True)
-    params = prefixed(csi_enc.params, "csi.")
-    params.update(prefixed(cir_enc.params, "cir."))
-    params["log_tau"] = log_tau
-    opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
-    sched = LRPlateau(factor=config.lr_factor, interval=config.lr_interval)
-    return PretrainState(config=config, csi_encoder=csi_enc, cir_encoder=cir_enc,
-                         log_tau=log_tau, optimizer=opt, schedule=sched)
+    state = PretrainState(config=config, csi_encoder=csi_enc, cir_encoder=cir_enc,
+                          log_tau=log_tau, optimizer=None,
+                          schedule=LRPlateau(factor=config.lr_factor, interval=config.lr_interval))
+    state.optimizer = AdamW(state.parameters(), lr=config.lr, weight_decay=config.weight_decay)
+    return state
 
 
 def encode_batch(encoder: Encoder, x: np.ndarray, chunk: int = FORWARD_CHUNK) -> np.ndarray:
@@ -231,13 +231,14 @@ def _inner_split(dataset: Dataset, config: PretrainConfig):
     perm = stream(config.seed, "pretrain-holdout").permutation(len(train))
     n_hold = max(1, math.floor(len(train) * config.holdout_fraction))
     if n_hold < 2 or len(train) - n_hold < 2:
-        raise ContractError(f"training split of {len(train)} too small to hold out from")
+        raise DataError(f"training split of {len(train)} records too small to hold out from")
     hold = np.sort(train[perm[:n_hold]])
     fit = np.sort(train[perm[n_hold:]])
     return fit, hold
 
 
 def save_pretrain_checkpoint(state: PretrainState, path: str) -> None:
+    """Write the run's one record, its metrics history included."""
     meta = {
         "kind": "pretrain",
         "version": CHECKPOINT_VERSION,
@@ -248,6 +249,7 @@ def save_pretrain_checkpoint(state: PretrainState, path: str) -> None:
         "opt_t": state.optimizer.t,
         "schedule": state.schedule.state(),
         "dataset": state.dataset,
+        "history": state.history,
     }
     tensors = {k: p.data for k, p in state.parameters().items()}
     tensors.update(state.optimizer.state_arrays())
@@ -276,24 +278,25 @@ def load_pretrain_state(path: str):
     state.schedule = LRPlateau.from_state(meta["schedule"])
     state.epoch = int(meta["epoch"])
     state.dataset = meta.get("dataset")
+    state.history = meta.get("history")
     return state, meta
 
 
 def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
-                    resume: bool = False, max_epochs=None) -> tuple:
-    """Train to early stop or the epoch cap; returns (state, metrics rows),
-    the state holding the parameters of the lowest-holdout-loss epoch.
+                    resume: bool = False, max_epochs=None) -> PretrainState:
+    """Train to early stop or the epoch cap; returns the state, holding the
+    parameters of the lowest-holdout-loss epoch and the metrics history.
 
-    Writes `pretrain.ckpt` (every epoch, atomically: the last epoch's
-    training state, plus the best epoch's parameters under `best.`) and
-    `pretrain_metrics.jsonl` (one record per epoch) under out_dir.  With
+    Writes `pretrain.ckpt` under out_dir every epoch, atomically: the last
+    epoch's training state and metrics history, plus the best epoch's
+    parameters under `best.`.  `pretrain_metrics.jsonl` (one row per epoch)
+    is that history, rewritten whole after each save and never read.  With
     resume=True training continues from the checkpoint and reproduces the
-    exact trace an uninterrupted run would have produced.  A resume must
-    pass the config and the dataset (records and split) the checkpoint was
-    trained with (ConfigError otherwise); only max_epochs may differ.  A
-    last metrics row torn by a crash during its append is dropped; any
-    other unreadable row raises DataError.  A dataset whose n_taps the
-    declared encoder cannot pool is a ConfigError before any work.
+    files of an uninterrupted run.  A resume must pass the config and the
+    dataset (records and split) the checkpoint recorded with its history
+    (ConfigError otherwise); only max_epochs may differ.  A dataset whose
+    n_taps the declared encoder cannot pool (ConfigError), or whose training
+    split is too small to hold out from (DataError), fails before any work.
     """
     config = config.validated()
     p = dataset.n_rx * dataset.n_tx
@@ -301,12 +304,12 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
         config.encoder_config(p, dataset.n_taps)
     except ConfigError as e:
         raise ConfigError(f"the {dataset.n_taps}-tap CIR view cannot be encoded: {e}") from e
+    fit_idx, hold_idx = _inner_split(dataset, config)
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "pretrain.ckpt")
     metrics_path = os.path.join(out_dir, "pretrain_metrics.jsonl")
     cap = config.max_epochs if max_epochs is None else int(max_epochs)
 
-    kept_lines = []
     data_id = {k: dataset.manifest[k] for k in ("records_sha256", "split_seed", "split_fraction")}
     if resume:
         state, _ = load_pretrain_state(ckpt_path)
@@ -321,47 +324,31 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
         if differ:
             raise ConfigError(f"cannot resume {ckpt_path} on another dataset "
                               f"(checkpoint, dataset): {differ}")
-        if os.path.exists(metrics_path):
-            with open(metrics_path, "r", encoding="utf-8") as f:
-                lines = [line.rstrip("\n") + "\n" for line in f if line.strip()]
-            for i, line in enumerate(lines):
-                try:
-                    if json.loads(line)["epoch"] <= state.epoch:
-                        kept_lines.append(line)
-                except (ValueError, KeyError, TypeError) as e:
-                    if i < len(lines) - 1:  # a torn last row is beyond the checkpoint
-                        raise DataError(
-                            f"{metrics_path} line {i + 1} is not a metrics row: {e}") from e
+        if state.history is None:
+            raise ConfigError(f"cannot resume {ckpt_path}: it records no metrics history")
     else:
         state = init_pretrain_state(config, p, dataset.n_subcarriers)
         state.dataset = data_id
 
-    fit_idx, hold_idx = _inner_split(dataset, config)
     pairs_fit = load_pairs(dataset, fit_idx)
     pairs_hold = load_pairs(dataset, hold_idx)
 
-    # the kept history is replaced atomically, so a failure from here on
-    # leaves at least the rows the checkpoint needs
-    ckpt.atomic_write(metrics_path, "".join(kept_lines).encode("utf-8"))
-    rows = []
-    with open(metrics_path, "a", encoding="utf-8") as mf:
-        while state.epoch < cap and not state.schedule.stale > config.patience:
-            em = pretrain_epoch(state, pairs_fit)
-            val_loss, val_ret = evaluate_pairs(state, pairs_hold, config.batch_size)
-            best = state.schedule.best
-            state.optimizer.lr = state.schedule.observe(val_loss, state.optimizer.lr)
-            if best is None or val_loss < best:
-                state.best_params = {k: p.data.copy() for k, p in state.parameters().items()}
-            row = {"epoch": state.epoch, "train_loss": em["train_loss"],
-                   "val_loss": val_loss, "retrieval": val_ret,
-                   "train_retrieval": em["train_retrieval"],
-                   "lr": state.optimizer.lr, "tau": state.tau()}
-            rows.append(row)
-            mf.write(json.dumps(row) + "\n")
-            mf.flush()
-            save_pretrain_checkpoint(state, ckpt_path)
-            if state.schedule.stale > config.patience:
-                log.info("early stop at epoch %d (stale %d > patience %d)",
-                         state.epoch, state.schedule.stale, config.patience)
-                break
-    return state.restore_best(), rows
+    ckpt.write_jsonl(metrics_path, state.history)
+    while state.epoch < cap and not state.schedule.stale > config.patience:
+        em = pretrain_epoch(state, pairs_fit)
+        val_loss, val_ret = evaluate_pairs(state, pairs_hold, config.batch_size)
+        best = state.schedule.best
+        state.optimizer.lr = state.schedule.observe(val_loss, state.optimizer.lr)
+        if best is None or val_loss < best:
+            state.best_params = {k: p.data.copy() for k, p in state.parameters().items()}
+        state.history.append({"epoch": state.epoch, "train_loss": em["train_loss"],
+                              "val_loss": val_loss, "retrieval": val_ret,
+                              "train_retrieval": em["train_retrieval"],
+                              "lr": state.optimizer.lr, "tau": state.tau()})
+        save_pretrain_checkpoint(state, ckpt_path)
+        ckpt.write_jsonl(metrics_path, state.history)
+        if state.schedule.stale > config.patience:
+            log.info("early stop at epoch %d (stale %d > patience %d)",
+                     state.epoch, state.schedule.stale, config.patience)
+            break
+    return state.restore_best()

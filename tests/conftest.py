@@ -49,14 +49,15 @@ def desk_dataset(tmp_path_factory):
 def desk_pretrained(tmp_path_factory, desk_dataset):
     """One desk-preset pretraining run, shared by the end-to-end tests.
 
-    Returns (state, metrics_rows, wall_seconds, checkpoint_path).
+    Returns (state, wall_seconds, checkpoint_path); state.history holds
+    the metrics rows.
     """
     out = tmp_path_factory.mktemp("desk_pretrain")
     cfg = pretrain_config(load_config("desk"))
     t0 = time.monotonic()
-    state, rows = run_pretraining(desk_dataset, cfg, str(out))
+    state = run_pretraining(desk_dataset, cfg, str(out))
     wall = time.monotonic() - t0
-    return state, rows, wall, str(out / "pretrain.ckpt")
+    return state, wall, str(out / "pretrain.ckpt")
 
 
 @pytest.fixture

@@ -223,7 +223,7 @@ def test_contrastive_sanity(desk_dataset):
 
 @pytest.mark.slow
 def test_pretraining_learnability(desk_dataset, desk_pretrained):
-    state, rows, wall, _ = desk_pretrained
+    state, wall, _ = desk_pretrained
     assert pt_pairs_count(desk_dataset) >= 2000
     assert state.epoch <= 50
     assert wall < 15 * 60
@@ -246,7 +246,7 @@ def pt_pairs_count(dataset):
 
 @pytest.mark.slow
 def test_low_label_trend(desk_dataset, desk_pretrained):
-    _, _, _, ckpt_path = desk_pretrained
+    _, _, ckpt_path = desk_pretrained
     t0 = time.monotonic()
     cfg = load_config("desk")
     fcfg = finetune_config(cfg, label_budget=200, epochs=25)

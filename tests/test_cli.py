@@ -93,6 +93,30 @@ def test_generate_invalid_config_exit_code(work, tmp_path, capsys):
     assert "blockage_prob" in err
 
 
+def _one_scenario(tmp_path, n_ue):
+    cfg = dict(CONFIG, dataset=dict(CONFIG["dataset"],
+                                    scenarios=[{"scenario_id": 0, "n_ue": n_ue}]))
+    path = tmp_path / f"ue{n_ue}.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return str(path)
+
+
+def test_generate_with_no_training_record_exits_config_before_work(tmp_path, capsys):
+    out = tmp_path / "d"
+    rc = main(["generate", "--config", _one_scenario(tmp_path, 1), "--out", str(out)])
+    assert rc == EXIT_CONFIG and "dataset.train_fraction" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pretrain_on_a_split_too_small_to_hold_out_exits_data(tmp_path, capsys):
+    cfg_path, data, out = _one_scenario(tmp_path, 12), tmp_path / "data", tmp_path / "pre"
+    assert main(["generate", "--config", cfg_path, "--out", str(data)]) == 0
+    capsys.readouterr()
+    rc = main(["pretrain", str(data), "--config", cfg_path, "--out", str(out)])
+    assert rc == EXIT_DATA and "training split of 9 records too small" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_name_lists_presets(tmp_path, capsys):
     rc = main(["generate", "--config", "nosuchpreset", "--out", str(tmp_path / "d")])
     err = capsys.readouterr().err
@@ -128,33 +152,75 @@ def test_pretrain_resume_matches_straight_run(work, capsys):
         open(out_dir / "pretrain.ckpt", "rb").read()
 
 
-def test_pretrain_resume_drops_a_torn_last_row(work, tmp_path, capsys):
-    out_dir = tmp_path / "pre_torn"
+def _tear_last_row(metrics, work, tmp_path):
+    with open(metrics, "a") as f:
+        f.write('{"epoch": 3, "train_lo')
+
+
+def _corrupt_first_row(metrics, work, tmp_path):
+    lines = metrics.read_text().splitlines(keepends=True)
+    lines[0] = '{"epoch": 1, "train_lo\n'
+    metrics.write_text("".join(lines))
+
+
+def _delete(metrics, work, tmp_path):
+    metrics.unlink()
+
+
+def _other_seeds_file(metrics, work, tmp_path):
+    other = tmp_path / "pre_seed5"
+    assert main(["pretrain", work["data"], "--config", work["config"],
+                 "--out", str(other), "--epochs", "2", "--seed", "5"]) == 0
+    assert (other / "pretrain_metrics.jsonl").read_bytes() != metrics.read_bytes()
+    shutil.copy(other / "pretrain_metrics.jsonl", metrics)
+
+
+@pytest.mark.parametrize("damage", [_tear_last_row, _corrupt_first_row, _delete,
+                                    _other_seeds_file],
+                         ids=["torn_last_row", "corrupt_row", "deleted", "other_seed"])
+def test_pretrain_resume_rewrites_the_metrics_file_from_the_checkpoint(work, tmp_path, capsys,
+                                                                       damage):
+    out_dir = tmp_path / "pre_damaged"
     assert main(["pretrain", work["data"], "--config", work["config"],
                  "--out", str(out_dir), "--epochs", "2"]) == 0
-    with open(out_dir / "pretrain_metrics.jsonl", "a") as f:
-        f.write('{"epoch": 3, "train_lo')
+    damage(out_dir / "pretrain_metrics.jsonl", work, tmp_path)
     assert main(["pretrain", work["data"], "--config", work["config"],
                  "--out", str(out_dir), "--resume"]) == 0
     capsys.readouterr()
-    assert open(out_dir / "pretrain_metrics.jsonl").read() == \
-        open(work["pre"] + "/pretrain_metrics.jsonl").read()
-    assert open(out_dir / "pretrain.ckpt", "rb").read() == \
-        open(work["pre"] + "/pretrain.ckpt", "rb").read()
+    assert (out_dir / "pretrain_metrics.jsonl").read_bytes() == \
+        open(work["pre"] + "/pretrain_metrics.jsonl", "rb").read()
+    assert (out_dir / "pretrain.ckpt").read_bytes() == open(work["ckpt"], "rb").read()
 
 
-def test_pretrain_resume_with_a_corrupt_row_exits_data(work, tmp_path, capsys):
-    out_dir = tmp_path / "pre_corrupt"
+def test_pretrain_resume_with_no_epoch_left_restores_the_metrics_file(work, tmp_path, capsys):
+    out_dir = tmp_path / "pre_done"
     shutil.copytree(work["pre"], out_dir)
-    metrics = out_dir / "pretrain_metrics.jsonl"
-    lines = metrics.read_text().splitlines(keepends=True)
-    lines[1] = '{"epoch": 2, "train_lo\n'
-    metrics.write_text("".join(lines))
+    (out_dir / "pretrain_metrics.jsonl").unlink()
+    capsys.readouterr()
     rc = main(["pretrain", work["data"], "--config", work["config"],
                "--out", str(out_dir), "--resume"])
-    err = capsys.readouterr().err
-    assert rc == EXIT_DATA and "line 2" in err
-    assert metrics.read_text() == "".join(lines)
+    out = capsys.readouterr().out
+    straight = open(work["pre"] + "/pretrain_metrics.jsonl").read()
+    last = json.loads(straight.splitlines()[-1])
+    assert rc == 0 and "pretraining finished at epoch 3" in out
+    assert f"last epoch: train {last['train_loss']:.4f}, val {last['val_loss']:.4f}" in out
+    assert (out_dir / "pretrain_metrics.jsonl").read_text() == straight
+    assert (out_dir / "pretrain.ckpt").read_bytes() == open(work["ckpt"], "rb").read()
+
+
+def test_pretrain_resume_from_a_checkpoint_without_history_exits_config(work, tmp_path, capsys):
+    out_dir = tmp_path / "pre_nohist"
+    shutil.copytree(work["pre"], out_dir)
+    meta, tensors = checkpoint.load_checkpoint(work["ckpt"])
+    del meta["history"]
+    checkpoint.save_checkpoint(str(out_dir / "pretrain.ckpt"), meta, tensors)
+    before = {name: (out_dir / name).read_bytes()
+              for name in ("pretrain.ckpt", "pretrain_metrics.jsonl")}
+    capsys.readouterr()
+    rc = main(["pretrain", work["data"], "--config", work["config"],
+               "--out", str(out_dir), "--resume", "--epochs", "4"])
+    assert rc == EXIT_CONFIG and "no metrics history" in capsys.readouterr().err
+    assert {name: (out_dir / name).read_bytes() for name in before} == before
 
 
 def test_pretrain_resume_with_changed_seed_exits_config(work, tmp_path, capsys):

@@ -268,10 +268,12 @@ def test_checkpoint_round_trip(mini_dataset, tmp_path):
         P.pretrain_epoch(state, pairs)
     for val_loss in (2.0, 1.5):
         state.schedule.observe(val_loss, state.optimizer.lr)
+    state.history = [{"epoch": e, "val_loss": v, "lr": 2e-3 / 3} for e, v in ((1, 2.0), (2, 1.5))]
     path = str(tmp_path / "pre.ckpt")
     P.save_pretrain_checkpoint(state, path)
     loaded, meta = P.load_pretrain_state(path)
     assert loaded.epoch == 2
+    assert loaded.history == state.history
     assert loaded.config == state.config
     assert loaded.schedule.best == 1.5
     assert meta["encoder_config"]["in_width"] == state.csi_encoder.config.in_width == 64
@@ -290,7 +292,8 @@ def test_checkpoint_round_trip(mini_dataset, tmp_path):
 
 def test_run_writes_metrics_and_checkpoint(mini_dataset, tmp_path):
     cfg = dataclasses.replace(SMALL, max_epochs=3)
-    state, rows = P.run_pretraining(mini_dataset, cfg, str(tmp_path))
+    state = P.run_pretraining(mini_dataset, cfg, str(tmp_path))
+    rows = state.history
     assert state.epoch == 3 and len(rows) == 3
     lines = open(tmp_path / "pretrain_metrics.jsonl").read().splitlines()
     assert len(lines) == 3
@@ -305,10 +308,10 @@ def test_run_writes_metrics_and_checkpoint(mini_dataset, tmp_path):
 
 def test_resume_reproduces_uninterrupted_run(mini_dataset, tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-    state_a, rows_a = P.run_pretraining(mini_dataset, SMALL, str(a_dir))
+    state_a = P.run_pretraining(mini_dataset, SMALL, str(a_dir))
 
     P.run_pretraining(mini_dataset, SMALL, str(b_dir), max_epochs=3)
-    state_b, _ = P.run_pretraining(mini_dataset, SMALL, str(b_dir), resume=True)
+    state_b = P.run_pretraining(mini_dataset, SMALL, str(b_dir), resume=True)
 
     assert state_b.epoch == state_a.epoch == 6
     for k, p in state_a.parameters().items():
@@ -323,10 +326,11 @@ def test_run_hands_on_the_lowest_holdout_loss_epoch(mini_dataset, tmp_path):
     # a high rate and small batches make the holdout loss swing, so the
     # last epoch is not the best one
     cfg = dataclasses.replace(SMALL, lr=1e-2, batch_size=8, max_epochs=10)
-    state, rows = P.run_pretraining(mini_dataset, cfg, str(tmp_path / "full"))
+    state = P.run_pretraining(mini_dataset, cfg, str(tmp_path / "full"))
+    rows = state.history
     best = min(rows, key=lambda r: r["val_loss"])["epoch"]
     assert best < len(rows) == state.epoch
-    at_best, _ = P.run_pretraining(mini_dataset, cfg, str(tmp_path / "cut"), max_epochs=best)
+    at_best = P.run_pretraining(mini_dataset, cfg, str(tmp_path / "cut"), max_epochs=best)
     want = {k: p.data for k, p in at_best.parameters().items()}
 
     def assert_best(params):
@@ -355,12 +359,12 @@ def test_failed_resume_write_keeps_metrics_history(mini_dataset, tmp_path, monke
 
     def failing_open(path, mode="r", *args, **kwargs):
         f = open(path, mode, *args, **kwargs)
-        if os.fspath(path) == str(metrics) and mode != "r":
+        if os.fspath(path) == str(metrics) + ".tmp":
             f.write = refuse
         return f
 
-    # every write the pretrain module makes to the metrics file fails
-    monkeypatch.setattr(P, "open", failing_open, raising=False)
+    # every atomic write of the metrics file fails before its rename
+    monkeypatch.setattr(ckpt, "open", failing_open, raising=False)
     with pytest.raises(OSError, match="no space"):
         P.run_pretraining(mini_dataset, SMALL, str(tmp_path), resume=True, max_epochs=3)
     assert metrics.read_bytes() == before
