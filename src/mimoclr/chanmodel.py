@@ -74,9 +74,10 @@ class ChannelSample:
     # complex64 [n_rx, n_tx, len(occupied_taps(sample))]: the CIR at the taps
     # that carry a path, kept by generate_scenario from the beam label's sweep
     # so the writer need not synthesize the CIR again (every other tap is 0).
-    # Not part of the sample's value; None on decoded records.  It describes
-    # `paths`: a copy with other paths must drop it.
-    tap_channels: np.ndarray = field(default=None, compare=False, repr=False)
+    # Not part of the sample's value; None on decoded records and on samples
+    # made by dataclasses.replace, which does not carry an init=False field
+    # (a copy with other paths would otherwise store a stale CIR).
+    tap_channels: np.ndarray = field(default=None, init=False, compare=False, repr=False)
 
 
 def occupied_taps(sample: ChannelSample) -> list:
@@ -369,8 +370,10 @@ def _generate_sample(config: ScenarioConfig, layout: Layout, seed: int, index: i
     # path gives the same argmax as sweeping the CSI, at a fraction of the cost.
     cir = synthesize_cir(sample, layout.tx_geometry, layout.rx_geometry, layout.n_taps)
     occupied = cir[:, :, occupied_taps(sample)]
-    return replace(sample, beam_label=optimal_beam(occupied, codebook),
-                   tap_channels=occupied.astype(np.complex64))
+    beam, tap_channels = optimal_beam(occupied, codebook), occupied.astype(np.complex64)
+    sample = replace(sample, beam_label=beam)
+    object.__setattr__(sample, "tap_channels", tap_channels)
+    return sample
 
 
 def generate_scenario(config: ScenarioConfig, layout: Layout, seed: int) -> list:

@@ -16,6 +16,7 @@ problems, 4 training divergence.
 
 import argparse
 import concurrent.futures
+import contextlib
 import ctypes
 import dataclasses
 import json
@@ -38,6 +39,8 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 INITS = ("scratch", "pretrained", "probe")   # report column order
+# The artifact keys report reads.
+REPORT_KEYS = ("task", "init", "seed", "label_budget", "metric_name", "val_metric")
 
 
 def _echo(command: str, payload: dict) -> None:
@@ -97,6 +100,27 @@ def _sweep(data: str, *sweep_args) -> list:
     return ft.run_sweep(dataset, *sweep_args)
 
 
+# BLAS thread-count variables each finetune --jobs worker defaults to 1.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _worker_pool(jobs: int):
+    """A spawn process pool whose workers run one BLAS thread each, so N
+    workers do not each start a thread per core.  Workers read the thread
+    variables when they import numpy, so those the user left unset are set
+    to 1 while the pool starts its workers, and removed again afterwards."""
+    unset = [var for var in BLAS_THREAD_VARS if var not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for var in unset:
+            os.environ.pop(var, None)
+
+
 def cmd_finetune(args) -> int:
     cfg = cfgmod.load_config(args.config)
     fcfg = cfgmod.finetune_config(cfg, label_budget=args.labels, epochs=args.epochs)
@@ -110,8 +134,7 @@ def cmd_finetune(args) -> int:
                        "pretrain": {k: getattr(pcfg, k) for k in cfgmod.ARCHITECTURE_FIELDS}})
     jobs = min(args.jobs, len(seeds))
     if jobs > 1:
-        spawn = multiprocessing.get_context("spawn")
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+        with _worker_pool(jobs) as pool:
             parts = [pool.submit(_sweep, args.data, args.task, [args.init], seeds[i::jobs],
                                  fcfg, pcfg, args.checkpoint, args.out) for i in range(jobs)]
             summaries = sorted((s for p in parts for s in p.result()), key=lambda s: s["seed"])
@@ -155,8 +178,13 @@ def cmd_report(args) -> int:
     # budget; anything else would drop a run or pair runs given other labels.
     by_task, seen = {}, {}
     for path, a in zip(args.artifacts, artifacts):
+        if not isinstance(a, dict):
+            raise DataError(f"{path}: run artifact is a JSON {type(a).__name__}, not a mapping")
         if a.get("kind") != "finetune":
-            raise DataError(f"not a fine-tuning artifact: {a.get('kind')!r}")
+            raise DataError(f"{path}: not a fine-tuning artifact: {a.get('kind')!r}")
+        for key in REPORT_KEYS:
+            if key not in a:
+                raise DataError(f"{path}: run artifact has no '{key}'")
         runs = by_task.setdefault(a["task"], [])
         if runs and a["label_budget"] != runs[0]["label_budget"]:
             raise DataError(f"{a['task']} runs have label budgets {runs[0]['label_budget']} "

@@ -18,13 +18,16 @@ derived at load time with sigproc.cir_to_csi, so the two views of a sample
 can never drift apart.  The manifest is a JSON sidecar carrying the
 dataset's layout and scenario environments, per-record byte offsets, the
 train/val split, normalization statistics, and a sha256 checksum of the
-record file.  All writes go through nncore.checkpoint.atomic_write (temp
-file plus rename).  build_dataset is the one way to turn generated
-scenarios into a split, normalized dataset.
+record file.  build_dataset is the one way to turn generated scenarios into
+a dataset: it splits and fits the statistics in memory, then writes the
+record file and last the manifest, each once, with atomic_write.  So every
+manifest carries the split and the statistics; load_manifest refuses one
+without them.
 """
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -91,45 +94,47 @@ def _stored_cir(sample: ChannelSample, layout: Layout) -> np.ndarray:
 
 
 def write_dataset(scenarios, manifest_path: str, records_path: str, seed: int,
-                  layout: Layout) -> dict:
-    """Persist generated scenarios; returns the manifest dict.
+                  train_fraction: float, layout: Layout) -> "Dataset":
+    """Encode, split (with `seed`) and fit train-split statistics in memory,
+    then write the record file and last the manifest; returns the Dataset,
+    which reads the encoded records in place.
 
     `scenarios` is a list of (ScenarioConfig, samples) pairs as produced by
     generate_scenario on `layout`, the one layout every record shares.  The
-    manifest records the layout's fields at its top level and each
-    scenario's environment under `scenarios`.
+    manifest, equal to load_manifest of the written file (so passed through
+    JSON), records the layout's fields at its top level and each scenario's
+    environment under `scenarios`.
     """
     if not scenarios:
         raise DataError("refusing to write an empty dataset")
-    offsets = []
-    scenario_ids = []
-    blob = bytearray()
-    for _, samples in scenarios:
-        for s in samples:
-            offsets.append(len(blob))
-            scenario_ids.append(s.scenario_id)
-            blob.extend(encode_record(s, _stored_cir(s, layout)))
-    atomic_write(records_path, blob)
+    samples = [s for _, group in scenarios for s in group]
+    cir_bytes = 8 * layout.rx_geometry.n_elements * layout.tx_geometry.n_elements * layout.n_taps
+    sizes = [_REC_HEAD.size + _REC_PATH.size * len(s.paths) + cir_bytes for s in samples]
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    blob = bytearray(offsets.pop())   # the total: sized once, no growth copies or slack
+    view = memoryview(blob)
+    for s, offset, size in zip(samples, offsets, sizes):
+        view[offset:offset + size] = encode_record(s, _stored_cir(s, layout))
 
-    manifest = {
+    manifest = json.loads(json.dumps({
         "format_version": MANIFEST_VERSION,
         "seed": int(seed),
         "records_file": os.path.basename(records_path),
         "records_sha256": hashlib.sha256(blob).hexdigest(),
         "n_records": len(offsets),
         "offsets": offsets,
-        "scenario_ids": scenario_ids,
+        "scenario_ids": [s.scenario_id for s in samples],
         **dataclasses.asdict(layout),
         "codebook": {"rows": layout.tx_geometry.rows, "cols": layout.tx_geometry.cols,
                      "n_beams": layout.tx_geometry.n_elements},
         "scenarios": [dataclasses.asdict(cfg) for cfg, _ in scenarios],
-        "split": None,
-        "split_fraction": None,
-        "split_seed": None,
-        "norm_stats": None,
-    }
+    }))
+    split_dataset(manifest, train_fraction, seed)
+    dataset = Dataset(manifest, view.toreadonly())
+    attach_norm_stats(dataset)
+    atomic_write(records_path, blob)
     save_manifest(manifest, manifest_path)
-    return manifest
+    return dataset
 
 
 def save_manifest(manifest: dict, path: str) -> None:
@@ -144,13 +149,16 @@ def load_manifest(path: str) -> dict:
         raise DataError(f"cannot read manifest {path}: {e}") from e
     if manifest.get("format_version") != MANIFEST_VERSION:
         raise DataError(f"{path}: unsupported manifest version {manifest.get('format_version')}")
+    for key in ("split", "norm_stats"):
+        if manifest.get(key) is None:
+            raise DataError(f"{path}: manifest has no {key}; generate the dataset again")
     return manifest
 
 
 class Dataset:
-    """Read-only handle over a manifest + verified record file."""
+    """Read-only handle over a manifest + its records (bytes, read-only view)."""
 
-    def __init__(self, manifest: dict, records_blob: bytes):
+    def __init__(self, manifest: dict, records_blob):
         self.manifest = manifest
         self._buf = records_blob
         self.n_rx = ArrayGeometry(**manifest["rx_geometry"]).n_elements
@@ -171,8 +179,6 @@ class Dataset:
         return sample, cir
 
     def split_flags(self) -> np.ndarray:
-        if self.manifest.get("split") is None:
-            raise ContractError("dataset has no split assignment; run split_dataset first")
         return np.asarray(self.manifest["split"], dtype=np.int64)
 
     def train_indices(self) -> np.ndarray:
@@ -182,10 +188,7 @@ class Dataset:
         return np.nonzero(self.split_flags() == 0)[0]
 
     def norm_stats(self, modality: str) -> NormStats:
-        stats = self.manifest.get("norm_stats")
-        if not stats or modality not in stats:
-            raise ContractError(f"manifest has no normalization stats for '{modality}'")
-        d = stats[modality]
+        d = self.manifest["norm_stats"][modality]
         return NormStats(vmin=d["vmin"], vmax=d["vmax"], mean=d["mean"], std=d["std"])
 
 
@@ -211,8 +214,9 @@ def split_dataset(manifest: dict, fraction: float, seed: int) -> dict:
     """Assign train/val flags by seeded uniform shuffle.
 
     floor(N * fraction) records become training (flag 1), the rest
-    validation (flag 0).  Returns the updated manifest (also mutated in
-    place); callers persist it with save_manifest.
+    validation (flag 0).  Adds `split`, `split_fraction` and `split_seed` to
+    the manifest in place and returns it; write_dataset calls it before
+    anything is written.
     """
     if not 0.0 < fraction < 1.0:
         raise ConfigError(f"split fraction must be in (0, 1), got {fraction}")
@@ -333,30 +337,21 @@ def fit_split_stats(dataset: Dataset, indices, modality: str) -> NormStats:
                           for row in shape_input(tensor))
 
 
-def attach_norm_stats(manifest: dict, dataset: Dataset) -> dict:
-    """Fit train-split stats for both modalities and store them in the
-    manifest (returned and mutated in place)."""
+def attach_norm_stats(dataset: Dataset) -> None:
+    """Fit train-split stats for both modalities into the dataset's manifest."""
     train = dataset.train_indices()
     stats = {}
     for modality in ("cir", "csi"):
         s = fit_split_stats(dataset, train, modality)
         stats[modality] = {"vmin": s.vmin, "vmax": s.vmax, "mean": s.mean, "std": s.std}
-    manifest["norm_stats"] = stats
     dataset.manifest["norm_stats"] = stats
-    return manifest
 
 
 def build_dataset(scenarios, out_dir: str, seed: int, train_fraction: float,
                   layout: Layout) -> Dataset:
-    """Write `scenarios`, generated on `layout`, to out_dir/samples.bin +
-    out_dir/manifest.json, split them with `seed`, fit train-split
-    normalization statistics, and return the opened dataset (its manifest
-    is the one saved on disk)."""
+    """write_dataset of `scenarios`, generated on `layout`, into
+    out_dir/samples.bin and out_dir/manifest.json, split with `seed`;
+    returns the dataset."""
     os.makedirs(out_dir, exist_ok=True)
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    write_dataset(scenarios, manifest_path, os.path.join(out_dir, "samples.bin"), seed, layout)
-    dataset = open_dataset(manifest_path)
-    split_dataset(dataset.manifest, train_fraction, seed)
-    attach_norm_stats(dataset.manifest, dataset)
-    save_manifest(dataset.manifest, manifest_path)
-    return dataset
+    return write_dataset(scenarios, os.path.join(out_dir, "manifest.json"),
+                         os.path.join(out_dir, "samples.bin"), seed, train_fraction, layout)

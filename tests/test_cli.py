@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import mimoclr
-from mimoclr import datapipe, finetune as ft, pretrain as pt
+from mimoclr import cli, datapipe, finetune as ft, pretrain as pt
 from mimoclr.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, main
 from mimoclr.config import pretrain_config
 from mimoclr.nncore import checkpoint
@@ -114,6 +114,19 @@ def test_pretrain_on_a_split_too_small_to_hold_out_exits_data(tmp_path, capsys):
     capsys.readouterr()
     rc = main(["pretrain", str(data), "--config", cfg_path, "--out", str(out)])
     assert rc == EXIT_DATA and "training split of 9 records too small" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["split", "norm_stats"])
+def test_pretrain_on_a_manifest_without_split_or_stats_exits_data(work, tmp_path, capsys, key):
+    data, out = tmp_path / "data", tmp_path / "pre"
+    shutil.copytree(work["data"], data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest[key] = None
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    rc = main(["pretrain", str(data), "--config", work["config"], "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA and f"no {key}; generate the dataset again" in err
     assert not out.exists()
 
 
@@ -401,6 +414,20 @@ def test_finetune_jobs_write_the_same_bytes(work, capsys):
     assert outs["2"] == outs["1"]
 
 
+def test_finetune_workers_default_to_one_blas_thread(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    with cli._worker_pool(2) as pool:
+        seen = [pool.submit(os.getenv, var).result(timeout=60) for var in cli.BLAS_THREAD_VARS]
+    assert cli.BLAS_THREAD_VARS == ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                    "MKL_NUM_THREADS")
+    assert seen == ["1", "1", "3"]
+    # the parent's environment is restored
+    assert "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ
+    assert os.environ["MKL_NUM_THREADS"] == "3"
+
+
 def test_finetune_probe_artifact(work, capsys):
     out = work["root"] / "ft_probe"
     rc = main(["finetune", work["data"], "--config", work["config"],
@@ -495,6 +522,19 @@ def test_report_refuses_mixed_label_budgets(work, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == EXIT_DATA
     assert "label budgets 0 and 20" in err and scr in err
+
+
+@pytest.mark.parametrize("content,named", [
+    ([], "not a mapping"),
+    ({"kind": "finetune", "task": "beam"}, "has no 'init'"),
+])
+def test_report_refuses_a_malformed_artifact(tmp_path, capsys, content, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    rc = main(["report", str(path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA and str(path) in err and named in err
+    assert "Traceback" not in err
 
 
 def test_report_unreadable_artifact_exit_code(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Record layout, manifests, splitting, and batch loading."""
 
+import dataclasses
+import hashlib
 import json
 import math
-import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -27,58 +29,72 @@ def small_scenarios(n_ue=30, seed=5):
     return [(c, generate_scenario(c, DESK, seed)) for c in cfgs]
 
 
-def build_dataset(tmp_path, n_ue=30, seed=5, fraction=0.8, stats=True):
+def build_dataset(tmp_path, n_ue=30, seed=5, fraction=0.8):
     scenarios = small_scenarios(n_ue, seed)
     ds = datapipe.build_dataset(scenarios, str(tmp_path), seed, fraction, DESK)
-    if not stats:
-        ds.manifest["norm_stats"] = None
     return ds, scenarios, str(tmp_path / "manifest.json"), str(tmp_path / "samples.bin")
 
 
-def _six_call_build(scenarios, out_dir, seed, fraction):
-    """The dataset build sequence every caller used to repeat: write,
-    split, save, open, fit stats, save, reopen."""
-    mpath, rpath = str(out_dir / "manifest.json"), str(out_dir / "samples.bin")
-    manifest = datapipe.write_dataset(scenarios, mpath, rpath, seed, DESK)
-    datapipe.split_dataset(manifest, fraction, seed)
-    datapipe.save_manifest(manifest, mpath)
-    ds = datapipe.open_dataset(mpath)
-    datapipe.attach_norm_stats(manifest, ds)
-    datapipe.save_manifest(manifest, mpath)
-    return datapipe.open_dataset(mpath)
+def _preset_scenarios(preset, n_ue, seed=7):
+    """Every scenario of a preset at n_ue UEs, and the preset's dataset config."""
+    cfg = dataset_config(load_config(preset))
+    cfgs = [dataclasses.replace(c, n_ue=n_ue) for c in cfg.scenario_configs()]
+    return [(c, generate_scenario(c, cfg.geometry, seed)) for c in cfgs], cfg
 
 
-def test_build_dataset_equals_six_call_sequence(tmp_path, monkeypatch):
-    scenarios = small_scenarios()
-    (tmp_path / "old").mkdir()
-    want = _six_call_build(scenarios, tmp_path / "old", 5, 0.8)
+def test_build_dataset_writes_each_file_once(tmp_path, monkeypatch):
+    scenarios, cfg = _preset_scenarios("desk", 40)
+    written, opened = [], []
+    original = datapipe.atomic_write
 
-    calls = []
+    def counting_write(path, data):
+        written.append(os.path.basename(path))
+        return original(path, data)
 
-    def counted(name):
-        original = getattr(datapipe, name)
-
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-        return wrapper
-
-    for name in ("write_dataset", "save_manifest", "open_dataset"):
-        monkeypatch.setattr(datapipe, name, counted(name))
-    got = datapipe.build_dataset(scenarios, str(tmp_path / "new"), 5, 0.8, DESK)
+    monkeypatch.setattr(datapipe, "atomic_write", counting_write)
+    monkeypatch.setattr(datapipe, "open_dataset", lambda *a: opened.append(a))
+    got = datapipe.build_dataset(scenarios, str(tmp_path), 7, cfg.train_fraction, cfg.geometry)
     monkeypatch.undo()
-    # one write (records + manifest), one open, one manifest save
-    assert calls == ["write_dataset", "save_manifest", "open_dataset", "save_manifest"]
+    # the records first, the manifest last, each once; samples.bin is never read back
+    assert written == ["samples.bin", "manifest.json"] and opened == []
 
-    for name in ("manifest.json", "samples.bin"):
-        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
-    assert got.manifest == want.manifest
-    assert got.manifest == datapipe.load_manifest(str(tmp_path / "new" / "manifest.json"))
+    for name, pinned in (("samples.bin", PINNED_RECORDS_SHA256),
+                         ("manifest.json", PINNED_MANIFEST_SHA256)):
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == pinned["desk", 40]
+    assert got.manifest == datapipe.load_manifest(str(tmp_path / "manifest.json"))
+    want = datapipe.open_dataset(str(tmp_path / "manifest.json"))
     indices = np.arange(got.n_records)
     for modality in ("cir", "csi"):
         for task in (None, "positioning", "beam", "los"):
             assert_same_batch(datapipe.load_batch(got, indices, modality, task=task),
                               datapipe.load_batch(want, indices, modality, task=task))
+    # the records are read in place, not copied, and stay read-only
+    _, cir = got.record(0)
+    assert not cir.flags.writeable
+
+
+def _failing_fit(records):
+    raise KeyboardInterrupt("stopped during the statistics fit")
+
+
+def test_build_stopped_in_the_stat_fit_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(datapipe, "fit_norm_stats", _failing_fit)
+    with pytest.raises(KeyboardInterrupt):
+        build_dataset(tmp_path / "fresh")
+    assert not (tmp_path / "fresh" / "manifest.json").exists()
+    assert not (tmp_path / "fresh" / "samples.bin").exists()
+
+
+def test_build_stopped_in_the_stat_fit_keeps_the_old_dataset(tmp_path, monkeypatch):
+    old, _, mpath, _ = build_dataset(tmp_path, seed=5)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(datapipe, "fit_norm_stats", _failing_fit)
+    with pytest.raises(KeyboardInterrupt):
+        build_dataset(tmp_path, seed=6)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert datapipe.open_dataset(mpath).manifest == old.manifest
 
 
 def test_record_round_trip_bit_exact():
@@ -133,19 +149,33 @@ def test_generate_and_write_synthesize_each_cir_once(tmp_path, monkeypatch):
     monkeypatch.setattr(chanmodel, "synthesize_cir", counting)
     monkeypatch.setattr(datapipe, "synthesize_cir", counting)
     scenarios = small_scenarios(n_ue=12)
-    manifest = datapipe.write_dataset(scenarios, str(tmp_path / "m.json"),
-                                      str(tmp_path / "r.bin"), 5, DESK)
-    assert len(calls) == len(set(calls)) == manifest["n_records"] == 24
+    ds = datapipe.write_dataset(scenarios, str(tmp_path / "m.json"),
+                                str(tmp_path / "r.bin"), 5, 0.8, DESK)
+    assert len(calls) == len(set(calls)) == ds.n_records == 24
     # samples without their tap channels (decoded records) are synthesized
     # by the writer, into the same bytes
-    ds = datapipe.open_dataset(str(tmp_path / "m.json"))
     decoded = [(cfg, [ds.record(i)[0] for i in range(12 * k, 12 * k + 12)])
                for k, (cfg, _) in enumerate(scenarios)]
     assert all(s.tap_channels is None for _, samples in decoded for s in samples)
     again = datapipe.write_dataset(decoded, str(tmp_path / "m2.json"),
-                                   str(tmp_path / "r2.bin"), 5, DESK)
+                                   str(tmp_path / "r2.bin"), 5, 0.8, DESK)
     assert len(calls) == 48
-    assert again["records_sha256"] == manifest["records_sha256"]
+    assert again.manifest["records_sha256"] == ds.manifest["records_sha256"]
+
+
+def test_a_replaced_sample_stores_the_cir_of_its_own_paths(tmp_path):
+    cfg, samples = small_scenarios(n_ue=12)[0]
+    cut = [dataclasses.replace(s, paths=s.paths[:-1]) if len(s.paths) > 1 else s
+           for s in samples]
+    assert sum(len(a.paths) != len(b.paths) for a, b in zip(cut, samples)) > 6
+    assert all(c.tap_channels is None for c, s in zip(cut, samples) if c is not s)
+    ds = datapipe.write_dataset([(cfg, cut)], str(tmp_path / "m.json"),
+                                str(tmp_path / "r.bin"), 5, 0.8, DESK)
+    for i, s in enumerate(cut):
+        got, cir = ds.record(i)
+        assert got == s
+        want = synthesize_cir(s, DESK.tx_geometry, DESK.rx_geometry, DESK.n_taps)
+        assert np.array_equal(cir, want.astype(np.complex64))
 
 
 def test_write_is_byte_deterministic(tmp_path):
@@ -158,23 +188,28 @@ def test_write_is_byte_deterministic(tmp_path):
 
 
 # The stored bytes of a small desk and a small paper-geometry dataset, every
-# preset scenario at n_ue UEs, seed 7.  Path parameters, labels and CIRs all
-# land in them, so a change that moves any stored byte must update these
-# values and say why.
+# preset scenario at n_ue UEs, seed 7, split with the preset's
+# train_fraction.  Path parameters, labels and CIRs all land in the records;
+# offsets, split and normalization statistics in the manifest.  A change
+# that moves any stored byte must update these values and say why.
 PINNED_RECORDS_SHA256 = {
     ("desk", 40): "0d9ad36dd472b089ed90c2ce1b885bec3aac335eea73ddf2fd7581ddfd3935b4",
     ("paper", 10): "7fe101faad81f2cfead492d50c59ece7c7799c3f8649e707c3ba8115da59e208",
+}
+PINNED_MANIFEST_SHA256 = {
+    ("desk", 40): "b8f83fdb8c9bdbb4d5db6b85e8e9aa20e67d2e7c620cd5fc576baa238eb46f2d",
+    ("paper", 10): "b949be8edddc5f2bbace6c6a89ff0cfd67779851cd75935e05d1532fab715053",
 }
 
 
 @pytest.mark.parametrize("preset,n_ue", sorted(PINNED_RECORDS_SHA256))
 def test_generated_records_keep_their_pinned_bytes(tmp_path, preset, n_ue):
-    ds = dataset_config(load_config(preset))
-    cfgs = [dataclasses.replace(c, n_ue=n_ue) for c in ds.scenario_configs()]
-    scenarios = [(c, generate_scenario(c, ds.geometry, 7)) for c in cfgs]
-    manifest = datapipe.write_dataset(scenarios, str(tmp_path / "manifest.json"),
-                                      str(tmp_path / "samples.bin"), 7, ds.geometry)
-    assert manifest["records_sha256"] == PINNED_RECORDS_SHA256[preset, n_ue]
+    scenarios, cfg = _preset_scenarios(preset, n_ue)
+    mpath = tmp_path / "manifest.json"
+    ds = datapipe.write_dataset(scenarios, str(mpath), str(tmp_path / "samples.bin"), 7,
+                                cfg.train_fraction, cfg.geometry)
+    assert ds.manifest["records_sha256"] == PINNED_RECORDS_SHA256[preset, n_ue]
+    assert hashlib.sha256(mpath.read_bytes()).hexdigest() == PINNED_MANIFEST_SHA256[preset, n_ue]
 
 
 def test_checksum_detects_corruption(tmp_path):
@@ -420,14 +455,14 @@ def test_attach_norm_stats_ffts_each_training_block_once(mini_dataset, monkeypat
 
     before = dict(mini_dataset.manifest["norm_stats"])
     monkeypatch.setattr(datapipe, "cir_to_csi", counting)
-    datapipe.attach_norm_stats({}, mini_dataset)
+    datapipe.attach_norm_stats(mini_dataset)
     n_train, step = len(mini_dataset.train_indices()), datapipe._block_records(mini_dataset)
     assert len(calls) == -(-n_train // step) and sum(calls) == n_train
     assert mini_dataset.manifest["norm_stats"] == before
 
 
 def test_stat_fitting_rejects_validation_records(tmp_path):
-    ds, _, _, _ = build_dataset(tmp_path, stats=False)
+    ds, _, _, _ = build_dataset(tmp_path)
     val = ds.val_indices()
     with pytest.raises(ContractError, match="training split"):
         datapipe.fit_split_stats(ds, [int(val[0])], "csi")
@@ -435,10 +470,14 @@ def test_stat_fitting_rejects_validation_records(tmp_path):
     assert stats.std > 0
 
 
-def test_missing_stats_is_contract_error(tmp_path):
-    ds, _, _, _ = build_dataset(tmp_path, stats=False)
-    with pytest.raises(ContractError, match="stats"):
-        datapipe.load_batch(ds, [0], "csi")
+@pytest.mark.parametrize("key", ["split", "norm_stats"])
+def test_manifest_without_split_or_stats_is_refused(tmp_path, key):
+    _, _, mpath, _ = build_dataset(tmp_path)
+    m = json.load(open(mpath))
+    m[key] = None
+    json.dump(m, open(mpath, "w"))
+    with pytest.raises(DataError, match=f"no {key}; generate the dataset again"):
+        datapipe.open_dataset(mpath)
 
 
 def test_manifest_version_checked(tmp_path):
