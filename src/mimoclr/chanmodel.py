@@ -218,13 +218,12 @@ class Layout:
         """Path length represented by one delay tap."""
         return SPEED_OF_LIGHT / self.bandwidth_hz
 
-    def validated(self) -> "Layout":
+    def __post_init__(self):
         if not 1 <= self.n_taps <= self.n_subcarriers:
             raise ConfigError(f"dataset.geometry.n_taps must be in [1, n_subcarriers "
                               f"{self.n_subcarriers}], got {self.n_taps}")
         if not self.bandwidth_hz > 0:
             raise ConfigError(f"dataset.geometry.bandwidth_hz must be > 0, got {self.bandwidth_hz}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -245,7 +244,7 @@ class ScenarioConfig:
     nlos_exponent: float = 3.5
     ref_gain: float = 100.0                 # gain scale: |g| = ref_gain * L^(-eta/2)
 
-    def validated(self) -> "ScenarioConfig":
+    def __post_init__(self):
         if self.n_ue <= 0:
             raise ConfigError(f"n_ue must be > 0, got {self.n_ue}")
         lo, hi = self.path_count
@@ -260,7 +259,6 @@ class ScenarioConfig:
             raise ConfigError(
                 f"need 0 < min_distance < cell_radius, got {self.min_distance}, {self.cell_radius}"
             )
-        return self
 
 
 def _f32(x: float) -> float:
@@ -382,8 +380,6 @@ def generate_scenario(config: ScenarioConfig, layout: Layout, seed: int) -> list
     Pure function of (config, layout, seed): every sample draws from its own
     counter-based stream, so the output is independent of generation order.
     """
-    config = config.validated()
-    layout = layout.validated()
     codebook = build_codebook(layout.tx_geometry)
     scatterers = scatterer_field(config, seed)
     return [

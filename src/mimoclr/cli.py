@@ -7,11 +7,11 @@
                       --labels 200 --seeds 5 --out runs/ft
     mimoclr report    runs/ft/*.json
 
-`mimoclr -v <command> ...` also logs progress (early stops, dropped tail
-batches) to stderr.  Every command prints an effective-config echo;
-re-running with the echoed config and seed reproduces outputs
-bit-identically.  Exit codes: 0 success, 2 configuration problems, 3 data
-problems, 4 training divergence.
+`mimoclr -v <command> ...` also logs progress (one line per pretrain and
+fine-tune epoch, early stops, dropped tail batches) to stderr.  Every
+command prints an effective-config echo; re-running with the echoed config
+and seed reproduces outputs bit-identically.  Exit codes: 0 success, 2
+configuration problems, 3 data problems, 4 training divergence.
 """
 
 import argparse
@@ -39,8 +39,10 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 INITS = ("scratch", "pretrained", "probe")   # report column order
-# The artifact keys report reads.
-REPORT_KEYS = ("task", "init", "seed", "label_budget", "metric_name", "val_metric")
+# The artifact keys report reads, each with the JSON types it accepts (a
+# bool is not an int here).
+REPORT_KEYS = {"task": (str,), "init": (str,), "seed": (int,), "label_budget": (int,),
+               "metric_name": (str,), "val_metric": (int, float)}
 
 
 def _echo(command: str, payload: dict) -> None:
@@ -52,15 +54,12 @@ def _echo(command: str, payload: dict) -> None:
 def cmd_generate(args) -> int:
     ds_cfg = cfgmod.dataset_config(cfgmod.load_config(args.config))
     seed = ds_cfg.seed if args.seed is None else args.seed
-    scen_cfgs = ds_cfg.scenario_configs()
     layout = ds_cfg.geometry
     _echo("generate", {"seed": seed, "out": args.out,
-                       "dataset": {"seed": seed, "train_fraction": ds_cfg.train_fraction,
-                                   "geometry": dataclasses.asdict(layout),
-                                   "scenarios": [dataclasses.asdict(c) for c in scen_cfgs]}})
+                       "dataset": dataclasses.asdict(dataclasses.replace(ds_cfg, seed=seed))})
 
     t0 = time.perf_counter()
-    scenarios = [(c, chanmodel.generate_scenario(c, layout, seed)) for c in scen_cfgs]
+    scenarios = [(c, chanmodel.generate_scenario(c, layout, seed)) for c in ds_cfg.scenarios]
     t1 = time.perf_counter()
     manifest = datapipe.build_dataset(scenarios, args.out, seed, ds_cfg.train_fraction,
                                       layout).manifest
@@ -182,9 +181,18 @@ def cmd_report(args) -> int:
             raise DataError(f"{path}: run artifact is a JSON {type(a).__name__}, not a mapping")
         if a.get("kind") != "finetune":
             raise DataError(f"{path}: not a fine-tuning artifact: {a.get('kind')!r}")
-        for key in REPORT_KEYS:
+        for key, kinds in REPORT_KEYS.items():
             if key not in a:
                 raise DataError(f"{path}: run artifact has no '{key}'")
+            if type(a[key]) not in kinds:
+                raise DataError(f"{path}: run artifact's '{key}' is {a[key]!r}, not "
+                                f"{' or '.join(k.__name__ for k in kinds)}")
+        if a["init"] not in INITS:
+            raise DataError(f"{path}: run artifact's 'init' is {a['init']!r}, not one of {INITS}")
+        if a["task"] not in ft.KIND_ALIASES.values():
+            raise DataError(f"{path}: run artifact's 'task' {a['task']!r} is not a task")
+        if not np.isfinite(a["val_metric"]):
+            raise DataError(f"{path}: run artifact's 'val_metric' is {a['val_metric']}")
         runs = by_task.setdefault(a["task"], [])
         if runs and a["label_budget"] != runs[0]["label_budget"]:
             raise DataError(f"{a['task']} runs have label budgets {runs[0]['label_budget']} "

@@ -21,6 +21,9 @@ is read as a float (YAML 1.1 reads `1.0e7` as a string), and a float must
 be finite.  Any other type mismatch, a bool for an int included, a wrong
 tuple length, a NaN or infinity, and any unknown or missing key or section
 is a ConfigError naming it, down to the element (`pretrain.widths[1]`).
+Every config dataclass checks its values in `__post_init__`, so a value
+out of range is a ConfigError when the config is built, by this reader,
+directly or by `dataclasses.replace`.
 """
 
 import dataclasses
@@ -32,7 +35,7 @@ import yaml
 
 from .chanmodel import Layout, ScenarioConfig
 from .errors import ConfigError
-from .nncore.layers import EncoderConfig
+from .nncore.layers import EncoderConfig, check_architecture
 
 SECTIONS = ("dataset", "pretrain", "finetune")
 
@@ -43,7 +46,7 @@ ARCHITECTURE_FIELDS = ("widths", "kernel_size", "embed_dim")
 
 def config_from_dict(cls, d, section: str):
     """Read the mapping `d` into the dataclass `cls` by its fields' declared
-    types, then validate it; errors name keys under `section`."""
+    types; errors name keys under `section`.  Building `cls` checks values."""
     if not isinstance(d, dict):
         raise ConfigError(f"{section} must be a mapping, got {d!r}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -54,8 +57,7 @@ def config_from_dict(cls, d, section: str):
                and f.default is dataclasses.MISSING is f.default_factory]
     if missing:
         raise ConfigError(f"missing config keys {missing}")
-    obj = cls(**{k: _read_field(fields[k].type, v, f"{section}.{k}") for k, v in d.items()})
-    return obj.validated() if hasattr(obj, "validated") else obj
+    return cls(**{k: _read_field(fields[k].type, v, f"{section}.{k}") for k, v in d.items()})
 
 
 def _read_field(kind, value, name: str):
@@ -88,28 +90,20 @@ class DatasetConfig:
     seed: int = 0
     train_fraction: float = 0.8
     geometry: Layout = dataclasses.field(default_factory=Layout)
-    scenarios: list = dataclasses.field(default_factory=list)  # ScenarioConfig mappings
+    scenarios: tuple[ScenarioConfig, ...] = ()
 
-    def validated(self) -> "DatasetConfig":
+    def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"dataset.train_fraction must be in (0,1), got {self.train_fraction}")
-        return self
-
-    def scenario_configs(self) -> list:
-        """The scenarios as validated ScenarioConfigs, one per entry; their
-        UEs, one record each, must leave at least one training record."""
         if not self.scenarios:
             raise ConfigError("config needs a dataset section with a nonempty scenario list")
-        out = [config_from_dict(ScenarioConfig, e, f"dataset.scenarios[{i}]")
-               for i, e in enumerate(self.scenarios)]
-        ids = [c.scenario_id for c in out]
+        ids = [c.scenario_id for c in self.scenarios]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate scenario_id in {ids}")
-        n_records = sum(c.n_ue for c in out)
+        n_records = sum(c.n_ue for c in self.scenarios)   # one record per UE
         if math.floor(n_records * self.train_fraction) == 0:
             raise ConfigError(f"dataset.train_fraction {self.train_fraction} of "
                               f"{n_records} records leaves no training record")
-        return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,24 +124,26 @@ class PretrainConfig:
     kernel_size: int = 3
     embed_dim: int = 128
 
-    def validated(self) -> "PretrainConfig":
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+    def __post_init__(self):
+        _at_least(self, "pretrain", 2, "batch_size")
         if not (0.0 < self.holdout_fraction < 1.0):
             raise ConfigError(f"holdout_fraction must be in (0,1), got {self.holdout_fraction}")
         if self.tau_init < self.tau_min or self.tau_min <= 0:
             raise ConfigError(f"need tau_init >= tau_min > 0, got {self.tau_init}, {self.tau_min}")
         if self.max_epochs < 1 or self.patience < 1:
             raise ConfigError(f"max_epochs and patience must be >= 1")
-        return self
+        _at_least(self, "pretrain", 0, "lr", "weight_decay")
+        _at_least(self, "pretrain", 1, "lr_interval")
+        if not 0.0 < self.lr_factor < 1.0:
+            raise ConfigError(f"pretrain.lr_factor must be in (0,1), got {self.lr_factor}")
+        check_architecture(self.widths, self.kernel_size, self.embed_dim, "pretrain.")
 
     def encoder_config(self, in_height: int, in_width: int) -> EncoderConfig:
         """The declared encoder architecture at an input of in_height x
         in_width bins: the one place an EncoderConfig is built from config
         values."""
         return EncoderConfig(in_height=in_height, in_width=in_width, widths=self.widths,
-                             kernel_size=self.kernel_size,
-                             embed_dim=self.embed_dim).validated()
+                             kernel_size=self.kernel_size, embed_dim=self.embed_dim)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -159,12 +155,17 @@ class FinetuneConfig:
     label_budget: int = 0          # 0 = use the full training split
     head_hidden: int = 64
 
-    def validated(self) -> "FinetuneConfig":
+    def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1 or self.head_hidden < 1:
             raise ConfigError(f"bad finetune config: {self}")
-        if self.label_budget < 0:
-            raise ConfigError(f"label_budget must be >= 0, got {self.label_budget}")
-        return self
+        _at_least(self, "finetune", 0, "lr", "weight_decay", "label_budget")
+
+
+def _at_least(config, section: str, minimum, *keys) -> None:
+    """Refuse a value of `keys` below `minimum`, naming it under `section`."""
+    for key in keys:
+        if getattr(config, key) < minimum:
+            raise ConfigError(f"{section}.{key} must be >= {minimum}, got {getattr(config, key)}")
 
 
 def builtin_presets() -> list:

@@ -16,8 +16,10 @@ Tasks:
 """
 
 import dataclasses
+import logging
 import math
 import os
+import time
 
 import numpy as np
 
@@ -32,6 +34,8 @@ from .nncore.optim import AdamW
 from .nncore.tensor import Tensor, no_grad
 from .pretrain import FORWARD_CHUNK, encode_batch, load_pretrain_state
 from .rngstream import stream
+
+log = logging.getLogger(__name__)
 
 KIND_ALIASES = {
     "positioning": "positioning", "pos": "positioning",
@@ -105,7 +109,6 @@ def init_finetune_run(dataset: Dataset, task_kind: str, init_mode: str, seed: in
     lowest-holdout-loss epoch (its architecture must match), `probe` loads
     it the same way and freezes it so only the head trains, `scratch` draws
     a fresh seed-determined init."""
-    config = config.validated()
     task = make_task_spec(task_kind, dataset)
     enc_cfg = arch.encoder_config(dataset.n_rx * dataset.n_tx, dataset.n_subcarriers)
     if init_mode in ("pretrained", "probe"):
@@ -221,6 +224,7 @@ def finetune(run: FinetuneRun, dataset: Dataset) -> FinetuneRun:
 
     best_params = None
     for _ in range(cfg.epochs):
+        t0 = time.perf_counter()
         epoch = len(run.history)
         perm = stream(run.seed, "finetune-shuffle", epoch).permutation(len(train_idx))
         loss_sum = 0.0
@@ -240,13 +244,17 @@ def finetune(run: FinetuneRun, dataset: Dataset) -> FinetuneRun:
         if not math.isfinite(val_loss):
             raise TrainingDivergenceError(
                 f"non-finite validation loss {val_loss} at epoch {epoch + 1}")
-        run.history.append({"epoch": epoch + 1, "train_loss": loss_sum / len(perm),
-                            "val_loss": val_loss})
+        train_loss = loss_sum / len(perm)
+        run.history.append({"epoch": epoch + 1, "train_loss": train_loss, "val_loss": val_loss})
         if val_loss < run.best_val_loss:
             run.best_val_loss = val_loss
             run.best_epoch = epoch + 1
             run.best_val_metric = _metric(run, pred, y_val)
             best_params = {k: p.data.copy() for k, p in run.parameters().items()}
+        wall = time.perf_counter() - t0
+        log.info("finetune %s %s seed %d epoch %d: train loss %.4f, val loss %.4f, "
+                 "%.2f s, %.1f samples/s", run.task.kind, run.init_mode, run.seed, epoch + 1,
+                 train_loss, val_loss, wall, len(perm) / wall)
     if best_params is not None:
         for k, p in run.parameters().items():
             p.data = best_params[k]

@@ -21,6 +21,18 @@ def uniform_fan_in(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.nd
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+def check_architecture(widths, kernel_size: int, embed_dim: int, section: str = "") -> None:
+    """Refuse an architecture no input can build: no stage, a stage width or
+    embedding size below 1, an even or non-positive kernel.  Messages name
+    each key under `section` (for example `pretrain.`)."""
+    if not widths or min(widths) < 1:
+        raise ConfigError(f"{section}widths must be one or more sizes >= 1, got {widths}")
+    if kernel_size < 1 or kernel_size % 2 == 0:
+        raise ConfigError(f"{section}kernel_size must be odd and positive, got {kernel_size}")
+    if embed_dim < 1:
+        raise ConfigError(f"{section}embed_dim must be >= 1, got {embed_dim}")
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     in_height: int
@@ -30,11 +42,10 @@ class EncoderConfig:
     kernel_size: int = 3
     embed_dim: int = 128
 
-    def validated(self) -> "EncoderConfig":
-        if self.in_channels < 1 or self.embed_dim < 1 or not self.widths:
+    def __post_init__(self):
+        if self.in_channels < 1:
             raise ConfigError(f"bad encoder config: {self}")
-        if self.kernel_size % 2 != 1 or self.kernel_size < 1:
-            raise ConfigError(f"kernel size must be odd and positive, got {self.kernel_size}")
+        check_architecture(self.widths, self.kernel_size, self.embed_dim)
         h, w = self.in_height, self.in_width
         for i, _ in enumerate(self.widths):
             if h % 2 or w % 2:
@@ -43,7 +54,6 @@ class EncoderConfig:
                     f"must be divisible by 2^{len(self.widths)}"
                 )
             h, w = h // 2, w // 2
-        return self
 
 
 class Encoder:
@@ -55,7 +65,6 @@ class Encoder:
 
     @classmethod
     def init(cls, config: EncoderConfig, rng: np.random.Generator, dtype=np.float32) -> "Encoder":
-        config = config.validated()
         k = config.kernel_size
         params = {}
         c_in = config.in_channels
@@ -90,10 +99,9 @@ class HeadConfig:
     hidden_dim: int
     out_dim: int
 
-    def validated(self) -> "HeadConfig":
+    def __post_init__(self):
         if min(self.in_dim, self.hidden_dim, self.out_dim) < 1:
             raise ConfigError(f"bad head config: {self}")
-        return self
 
 
 class Head:
@@ -105,7 +113,6 @@ class Head:
 
     @classmethod
     def init(cls, config: HeadConfig, rng: np.random.Generator, dtype=np.float32) -> "Head":
-        config = config.validated()
         params = {
             "fc1.w": Tensor(uniform_fan_in(rng, (config.in_dim, config.hidden_dim),
                                            config.in_dim, dtype), requires_grad=True),

@@ -16,6 +16,7 @@ import dataclasses
 import logging
 import math
 import os
+import time
 
 import numpy as np
 
@@ -109,7 +110,6 @@ def load_pairs(dataset: Dataset, indices) -> PairArrays:
 def init_pretrain_state(config: PretrainConfig, in_height: int, in_width: int) -> PretrainState:
     """Fresh seeded state; in_height x in_width is the CSI view (antenna
     pairs x subcarriers), whose EncoderConfig the CIR encoder shares."""
-    config = config.validated()
     enc_cfg = config.encoder_config(in_height, in_width)
     csi_enc = Encoder.init(enc_cfg, stream(config.seed, "csi-encoder-init"))
     cir_enc = Encoder.init(enc_cfg, stream(config.seed, "cir-encoder-init"))
@@ -298,9 +298,8 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
     n_taps the declared encoder cannot pool (ConfigError), or whose training
     split is too small to hold out from (DataError), fails before any work.
     """
-    config = config.validated()
     p = dataset.n_rx * dataset.n_tx
-    try:   # the CIR encoder shares the CSI view's EncoderConfig
+    try:   # the CIR encoder shares the CSI view's EncoderConfig; only its pooling can fail
         config.encoder_config(p, dataset.n_taps)
     except ConfigError as e:
         raise ConfigError(f"the {dataset.n_taps}-tap CIR view cannot be encoded: {e}") from e
@@ -335,6 +334,7 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
 
     ckpt.write_jsonl(metrics_path, state.history)
     while state.epoch < cap and not state.schedule.stale > config.patience:
+        t0 = time.perf_counter()
         em = pretrain_epoch(state, pairs_fit)
         val_loss, val_ret = evaluate_pairs(state, pairs_hold, config.batch_size)
         best = state.schedule.best
@@ -347,6 +347,10 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
                               "lr": state.optimizer.lr, "tau": state.tau()})
         save_pretrain_checkpoint(state, ckpt_path)
         ckpt.write_jsonl(metrics_path, state.history)
+        wall = time.perf_counter() - t0
+        log.info("pretrain epoch %d: train loss %.4f, val loss %.4f, retrieval %.3f, "
+                 "%.2f s, %.1f samples/s", state.epoch, em["train_loss"], val_loss, val_ret,
+                 wall, em["n_used"] / wall)
         if state.schedule.stale > config.patience:
             log.info("early stop at epoch %d (stale %d > patience %d)",
                      state.epoch, state.schedule.stale, config.patience)

@@ -41,7 +41,7 @@ def desk_dataset(tmp_path_factory):
     """The full desk preset: 4 scenarios, 2560 samples."""
     root = tmp_path_factory.mktemp("desk")
     ds = dataset_config(load_config("desk"))
-    return _build(root, ds.scenario_configs(), ds.geometry, seed=ds.seed,
+    return _build(root, ds.scenarios, ds.geometry, seed=ds.seed,
                   fraction=ds.train_fraction)
 
 

@@ -33,7 +33,7 @@ def desk_samples(n, seed=0):
     """The desk layout and the first n samples drawn round-robin from the
     desk scenarios."""
     ds = dataset_config(load_config("desk"))
-    cfgs = ds.scenario_configs()
+    cfgs = ds.scenarios
     out = []
     per = n // len(cfgs) + 1
     for c in cfgs:

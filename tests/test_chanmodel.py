@@ -353,22 +353,22 @@ def desk_scenario(**kw):
 
 def test_scenario_config_validation():
     with pytest.raises(ConfigError):
-        desk_scenario(blockage_prob=1.5).validated()
+        desk_scenario(blockage_prob=1.5)
     with pytest.raises(ConfigError):
-        desk_scenario(n_ue=0).validated()
+        desk_scenario(n_ue=0)
     with pytest.raises(ConfigError):
-        desk_scenario(path_count=(0, 5)).validated()
+        desk_scenario(path_count=(0, 5))
 
 
 @pytest.mark.parametrize("field,value", [("n_taps", 0), ("n_taps", 128), ("bandwidth_hz", 0.0),
                                          ("bandwidth_hz", -1.0e7)])
 def test_layout_validation(field, value):
     with pytest.raises(ConfigError, match=f"dataset.geometry.{field}"):
-        Layout(**{field: value}).validated()
+        Layout(**{field: value})
 
 
 def test_scatterer_field_fixed_per_scenario():
-    cfg = desk_scenario().validated()
+    cfg = desk_scenario()
     f1 = scatterer_field(cfg, seed=5)
     f2 = scatterer_field(cfg, seed=5)
     assert np.array_equal(f1, f2)

@@ -524,9 +524,22 @@ def test_report_refuses_mixed_label_budgets(work, tmp_path, capsys):
     assert "label budgets 0 and 20" in err and scr in err
 
 
+# A well-formed artifact as `report` reads it.
+RUN = {"kind": "finetune", "task": "beam_management", "init": "scratch", "seed": 0,
+       "label_budget": 200, "metric_name": "accuracy", "val_metric": 0.5}
+
+
 @pytest.mark.parametrize("content,named", [
     ([], "not a mapping"),
     ({"kind": "finetune", "task": "beam"}, "has no 'init'"),
+    ({**RUN, "val_metric": "x"}, "'val_metric'"),
+    ({**RUN, "val_metric": None}, "'val_metric'"),
+    ({**RUN, "val_metric": True}, "'val_metric'"),
+    ({**RUN, "seed": 1.5}, "'seed'"),
+    ({**RUN, "label_budget": "200"}, "'label_budget'"),
+    ({**RUN, "init": "pretrianed"}, "'init'"),
+    ({**RUN, "task": "detection"}, "'task'"),
+    ({**RUN, "val_metric": float("nan")}, "'val_metric'"),
 ])
 def test_report_refuses_a_malformed_artifact(tmp_path, capsys, content, named):
     path = tmp_path / "bad.json"

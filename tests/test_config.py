@@ -1,14 +1,17 @@
 """Preset loading and config expansion."""
 
 import copy
+import dataclasses
 import re
 
 import pytest
 import yaml
 
 from mimoclr import config as C
+from mimoclr.chanmodel import Layout, ScenarioConfig
 from mimoclr.cli import EXIT_CONFIG, main
 from mimoclr.errors import ConfigError
+from mimoclr.nncore.layers import EncoderConfig, HeadConfig
 
 
 def test_builtin_presets_present():
@@ -20,7 +23,7 @@ def test_builtin_presets_present():
 def test_presets_expand(name):
     cfg = C.load_config(name)
     ds = C.dataset_config(cfg)
-    assert len(ds.scenario_configs()) >= 2
+    assert len(ds.scenarios) >= 2
     assert isinstance(ds.geometry.bandwidth_hz, float) and ds.geometry.bandwidth_hz > 0
     assert 0 < ds.train_fraction < 1
     pcfg = C.pretrain_config(cfg)
@@ -46,11 +49,31 @@ def test_preset_architecture_fits_its_geometry(name):
 
 def test_desk_preset_values():
     ds = C.dataset_config(C.load_config("desk"))
-    scens = ds.scenario_configs()
+    scens = ds.scenarios
     assert len(scens) == 4
     assert sum(c.n_ue for c in scens) == 2560
     assert (ds.geometry.n_subcarriers, ds.geometry.n_taps) == (64, 32)
     assert ds.geometry.tx_geometry.n_elements == 16
+
+
+ONE_SCENARIO = ScenarioConfig(scenario_id=0, n_ue=4)
+# (a valid config, a field change that makes it invalid): one per config type
+BAD_REPLACEMENTS = [
+    (Layout(), {"n_taps": 0}),
+    (ONE_SCENARIO, {"blockage_prob": 1.5}),
+    (EncoderConfig(in_height=8, in_width=8), {"widths": (8, -4)}),
+    (HeadConfig(in_dim=4, hidden_dim=4, out_dim=2), {"out_dim": 0}),
+    (C.DatasetConfig(scenarios=(ONE_SCENARIO,)), {"scenarios": (ONE_SCENARIO, ONE_SCENARIO)}),
+    (C.PretrainConfig(), {"lr_factor": 1.0}),
+    (C.FinetuneConfig(), {"weight_decay": -5.0}),
+]
+
+
+@pytest.mark.parametrize("valid,change", BAD_REPLACEMENTS,
+                         ids=[type(valid).__name__ for valid, _ in BAD_REPLACEMENTS])
+def test_replace_cannot_build_an_invalid_config(valid, change):
+    with pytest.raises(ConfigError):
+        dataclasses.replace(valid, **change)
 
 
 def test_unknown_config_rejected():
@@ -86,14 +109,14 @@ dataset:
     p = tmp_path / "c.yaml"
     p.write_text(text)
     with pytest.raises(ConfigError, match="duplicate"):
-        C.dataset_config(C.load_config(str(p))).scenario_configs()
+        C.dataset_config(C.load_config(str(p)))
 
 
 def test_unknown_scenario_key_rejected(tmp_path):
     p = tmp_path / "c.yaml"
     p.write_text("dataset:\n  scenarios: [{scenario_id: 0, n_ue: 4, carrier: 3.5}]\n")
     with pytest.raises(ConfigError, match="carrier"):
-        C.dataset_config(C.load_config(str(p))).scenario_configs()
+        C.dataset_config(C.load_config(str(p)))
 
 
 def test_override_merge():
@@ -158,6 +181,17 @@ MALFORMED = [
     (("dataset", "scenarios", 0, "n_taps"), 16, "dataset.scenarios[0].n_taps"),
     (("dataset", "scenarios", 0, "bandwidth_hz"), 2.0e7, "dataset.scenarios[0].bandwidth_hz"),
     (("dataset", "geometry", "codebook_size"), 16, "dataset.geometry.codebook_size"),
+    (("pretrain", "lr"), -0.001, "pretrain.lr"),
+    (("pretrain", "lr_factor"), 1.0, "pretrain.lr_factor"),
+    (("pretrain", "lr_factor"), 0.0, "pretrain.lr_factor"),
+    (("pretrain", "lr_interval"), 0, "pretrain.lr_interval"),
+    (("pretrain", "widths"), [4, -4, 16], "pretrain.widths"),
+    (("pretrain", "widths"), [], "pretrain.widths"),
+    (("pretrain", "kernel_size"), 4, "pretrain.kernel_size"),
+    (("pretrain", "embed_dim"), 0, "pretrain.embed_dim"),
+    (("pretrain", "weight_decay"), -5, "pretrain.weight_decay"),
+    (("finetune", "weight_decay"), -5, "finetune.weight_decay"),
+    (("finetune", "lr"), -0.001, "finetune.lr"),
 ]
 MALFORMED_IDS = [".".join(map(str, where)) + f"={value!r}" for where, value, _ in MALFORMED]
 
@@ -189,7 +223,7 @@ def test_reader_refuses_malformed_values(tmp_path, where, value, named):
     path = malformed_config(tmp_path, where, value)
     with pytest.raises(ConfigError, match=re.escape(named)):
         cfg = C.load_config(path)
-        C.dataset_config(cfg).scenario_configs()
+        C.dataset_config(cfg)
         C.pretrain_config(cfg)
         C.finetune_config(cfg)
 
@@ -220,7 +254,7 @@ def test_generate_echo_reads_back(tmp_path, capsys):
     ds, again = C.dataset_config(C.load_config(path)), C.dataset_config(C.load_config(str(echoed)))
     assert (again.seed, again.train_fraction) == (ds.seed, ds.train_fraction)
     assert again.geometry == ds.geometry
-    assert again.scenario_configs() == ds.scenario_configs()
+    assert again.scenarios == ds.scenarios
 
 
 def test_scenarios_share_values_through_merge_keys(tmp_path):
@@ -231,7 +265,7 @@ dataset:
     - &env {scenario_id: 0, n_ue: 4, cell_radius: 100, scatterer_count: [4, 8]}
     - {<<: *env, scenario_id: 1, cell_radius: 90.0}
 """)
-    a, b = C.dataset_config(C.load_config(str(p))).scenario_configs()
+    a, b = C.dataset_config(C.load_config(str(p))).scenarios
     assert a.cell_radius == 100.0 and isinstance(a.cell_radius, float)
     assert (b.scenario_id, b.n_ue, b.cell_radius) == (1, 4, 90.0)
     assert a.scatterer_count == b.scatterer_count == (4, 8)

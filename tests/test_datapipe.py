@@ -38,7 +38,7 @@ def build_dataset(tmp_path, n_ue=30, seed=5, fraction=0.8):
 def _preset_scenarios(preset, n_ue, seed=7):
     """Every scenario of a preset at n_ue UEs, and the preset's dataset config."""
     cfg = dataset_config(load_config(preset))
-    cfgs = [dataclasses.replace(c, n_ue=n_ue) for c in cfg.scenario_configs()]
+    cfgs = [dataclasses.replace(c, n_ue=n_ue) for c in cfg.scenarios]
     return [(c, generate_scenario(c, cfg.geometry, seed)) for c in cfgs], cfg
 
 

@@ -1,6 +1,8 @@
 """Downstream adaptation: controlled comparisons, metrics, improvement math."""
 
 import dataclasses
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +26,27 @@ def mini_checkpoint(mini_dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("mini_pre")
     P.run_pretraining(mini_dataset, PRE, str(out))
     return str(out / "pretrain.ckpt")
+
+
+def test_each_epoch_logs_one_progress_line(mini_dataset, tmp_path, caplog):
+    """A 2-epoch pretraining and a 2-epoch fine-tune each log one INFO line
+    per epoch (losses, wall seconds, samples/s); no history row gains a key."""
+    caplog.set_level(logging.INFO, logger="mimoclr")
+    state = P.run_pretraining(mini_dataset, PRE, str(tmp_path))
+    run = F.finetune(F.init_finetune_run(mini_dataset, "los", "scratch", 0,
+                                         dataclasses.replace(FT, epochs=2), PRE), mini_dataset)
+    n = r"\d+\.\d+"
+    expected = [rf"pretrain epoch {e}: train loss {n}, val loss {n}, retrieval {n}, "
+                rf"{n} s, {n} samples/s" for e in (1, 2)]
+    expected += [rf"finetune channel_identification scratch seed 0 epoch {e}: "
+                 rf"train loss {n}, val loss {n}, {n} s, {n} samples/s" for e in (1, 2)]
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert len(lines) == len(expected)
+    for pattern, line in zip(expected, lines):
+        assert re.fullmatch(pattern, line), line
+    assert all(set(row) == {"epoch", "train_loss", "val_loss", "retrieval", "train_retrieval",
+                            "lr", "tau"} for row in state.history)
+    assert all(set(row) == {"epoch", "train_loss", "val_loss"} for row in run.history)
 
 
 def snapshot(params):

@@ -16,12 +16,12 @@ def tiny_cfg(**kw):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        tiny_cfg(in_height=6).validated()  # 6 -> 3 not poolable at stage 2
+        tiny_cfg(in_height=6)  # 6 -> 3 not poolable at stage 2
     with pytest.raises(ConfigError):
-        tiny_cfg(kernel_size=4).validated()
+        tiny_cfg(kernel_size=4)
     with pytest.raises(ConfigError):
-        tiny_cfg(widths=()).validated()
-    tiny_cfg().validated()
+        tiny_cfg(widths=())
+    tiny_cfg()
 
 
 def test_encoder_shapes_and_param_names():
@@ -75,7 +75,7 @@ def test_head_forward_and_out_dim():
     y = head.forward(Tensor(np.random.default_rng(1).normal(size=(4, 12))))
     assert y.shape == (4, 3)
     with pytest.raises(ConfigError):
-        HeadConfig(in_dim=0, hidden_dim=4, out_dim=2).validated()
+        HeadConfig(in_dim=0, hidden_dim=4, out_dim=2)
 
 
 def test_prefixed_shares_tensors():

@@ -81,11 +81,11 @@ def test_checkpoint_without_version_is_refused(mini_dataset, tmp_path):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        P.PretrainConfig(batch_size=1).validated()
+        P.PretrainConfig(batch_size=1)
     with pytest.raises(ConfigError):
-        P.PretrainConfig(tau_init=0.005, tau_min=0.01).validated()
+        P.PretrainConfig(tau_init=0.005, tau_min=0.01)
     with pytest.raises(ConfigError):
-        P.PretrainConfig(holdout_fraction=0.0).validated()
+        P.PretrainConfig(holdout_fraction=0.0)
     with pytest.raises(ConfigError):
         config_from_dict(P.PretrainConfig, {"learning_rate": 1e-3}, "pretrain")
 
