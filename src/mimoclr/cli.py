@@ -103,17 +103,32 @@ def _sweep(data: str, *sweep_args) -> list:
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _log_to_stderr(level: int) -> logging.Handler:
+    """Log the `mimoclr` logger's records from `level` up to stderr, as
+    `-v` does; returns the handler added."""
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log = logging.getLogger("mimoclr")
+    log.addHandler(handler)
+    log.setLevel(level)
+    return handler
+
+
 @contextlib.contextmanager
 def _worker_pool(jobs: int):
     """A spawn process pool whose workers run one BLAS thread each, so N
-    workers do not each start a thread per core.  Workers read the thread
-    variables when they import numpy, so those the user left unset are set
-    to 1 while the pool starts its workers, and removed again afterwards."""
+    workers do not each start a thread per core, and which log to stderr
+    from the parent's `mimoclr` level when it has one (`-v`).  Workers read
+    the thread variables when they import numpy, so those the user left
+    unset are set to 1 while the pool starts its workers, and removed again
+    afterwards."""
     unset = [var for var in BLAS_THREAD_VARS if var not in os.environ]
     os.environ.update(dict.fromkeys(unset, "1"))
+    level = logging.getLogger("mimoclr").level
     try:
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+                max_workers=jobs, mp_context=multiprocessing.get_context("spawn"),
+                initializer=_log_to_stderr if level else None, initargs=(level,)) as pool:
             yield pool
     finally:
         for var in unset:
@@ -323,11 +338,8 @@ def main(argv=None) -> int:
     if not args.verbose:
         return _run(args)
     log = logging.getLogger("mimoclr")
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     level = log.level
-    log.addHandler(handler)
-    log.setLevel(logging.INFO)
+    handler = _log_to_stderr(logging.INFO)
     try:
         return _run(args)
     finally:

@@ -168,8 +168,8 @@ def _loss(run: FinetuneRun, out: Tensor, labels):
 
 def _predict(run: FinetuneRun, x: np.ndarray, chunk: int = FORWARD_CHUNK) -> np.ndarray:
     """Forward-only head outputs; records no tape.  Chunks of 64 records
-    keep the im2col buffers small enough for the allocator to reuse them
-    (see pretrain.FORWARD_CHUNK)."""
+    keep the stage activations small enough for the allocator to reuse
+    them (see pretrain.FORWARD_CHUNK)."""
     with no_grad():
         return run.head.forward(Tensor(encode_batch(run.encoder, x, chunk))).data
 

@@ -323,21 +323,28 @@ def _im2col_slabs(h, wd, kh, kw):
     return slabs
 
 
-def _im2col(xd, slabs, kh, kw):
-    """im2col columns [N, C*kh*kw, H*W] of xd [N, C, H, W] for the offsets
-    in `slabs` (see conv2d)."""
+def _im2col(xd, slabs, kh, kw, out):
+    """Fill `out` [N, C*kh*kw, H*W] with the im2col columns of xd
+    [N, C, H, W] for the offsets in `slabs` (see conv2d); returns `out`."""
     n, c, h, wd = xd.shape
     hw = h * wd
     xf = xd.reshape(n, c, hw)
-    cols = np.empty((n, c, kh, kw, hw), dtype=xd.dtype)
-    cols6 = cols.reshape(n, c, kh, kw, h, wd)
+    cols = out.reshape(n, c, kh, kw, hw)
+    cols6 = out.reshape(n, c, kh, kw, h, wd)
     for i, j, s, lo, hi, wrap in slabs:
         slab = cols[:, :, i, j]
         slab[..., :lo] = 0
         slab[..., lo:hi] = xf[..., lo + s:hi + s]
         slab[..., hi:] = 0
         cols6[:, :, i, j, :, wrap] = 0
-    return cols.reshape(n, c * kh * kw, hw)
+    return out
+
+
+# conv2d builds im2col columns for as many samples at a time as fit in this
+# many bytes, and at least one.  A byte budget, not a sample count, so
+# paper-geometry samples (up to 9.4 MB of columns each) make one-sample
+# blocks.
+_COL_BLOCK_BYTES = 1 << 20
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor):
@@ -347,45 +354,72 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor):
 
     im2col (Chellapilla et al. 2006) without a padded copy: each kernel
     offset's column slab is one shifted copy of the flat [N, C, H*W] input,
-    with the cells that fall in the padding zeroed.
+    with the cells that fall in the padding zeroed.  The columns are built
+    for one block of samples at a time (at most _COL_BLOCK_BYTES, at least
+    one sample) in one buffer per call, so beyond its output and dx no
+    buffer grows with the batch.  Every per-sample gemm sees the operands of
+    a whole-batch im2col, and dw adds the per-sample products in sample
+    order as `.sum(axis=0)` would, so blocking changes no bit.
 
     A recorded graph holds every op's output until backward.  Beyond that,
     conv2d keeps its input and weights, not the columns (kh*kw times the
-    input): the weight gradient rebuilds them from `x.data` with the same
-    fill.  In an encoder stage relu then keeps a bool mask and avg_pool2d
-    only its input's shape.  Like `mul` and `div`, backward reads `x.data`
-    again, so an in-place edit of the input between forward and backward
-    changes the gradient.
+    input): backward rebuilds them block by block from `x.data` with the
+    same fill.  In an encoder stage relu then keeps a bool mask and
+    avg_pool2d only its input's shape.  Like `mul` and `div`, backward reads
+    `x.data` again, so an in-place edit of the input between forward and
+    backward changes the gradient.
     """
     n, c, h, wd = x.shape
     f, c2, kh, kw = w.shape
     if c2 != c:
         raise ContractError(f"conv weight expects {c2} input channels, got {c}")
     hw = h * wd
+    ckk = c * kh * kw
     slabs = _im2col_slabs(h, wd, kh, kw)
-    w2 = w.data.reshape(f, c * kh * kw)
-    out = np.matmul(w2, _im2col(x.data, slabs, kh, kw)).reshape(n, f, h, wd)
+    w2 = w.data.reshape(f, ckk)
+    block = max(1, min(n, _COL_BLOCK_BYTES // (ckk * hw * x.data.itemsize)))
+    starts = range(0, n, block)
+    buf = np.empty((block, ckk, hw), dtype=x.dtype)
+    out = np.empty((n, f, hw), dtype=np.result_type(w2, x.data))
+    for lo in starts:
+        xb = x.data[lo:lo + block]
+        np.matmul(w2, _im2col(xb, slabs, kh, kw, buf[:len(xb)]), out=out[lo:lo + block])
+    out = out.reshape(n, f, h, wd)
     out += b.data[None, :, None, None]
 
     def backward(g):
         gl = g.reshape(n, f, hw)
         if b.requires_grad:
             b._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
+        buf = np.empty((block, ckk, hw), dtype=x.dtype)
         if w.requires_grad:
-            cols2 = _im2col(x.data, slabs, kh, kw)
-            dw = np.matmul(gl, cols2.transpose(0, 2, 1)).sum(axis=0)
-            del cols2   # not alive next to dcols
+            # each sample's product added in sample order, as .sum(axis=0)
+            # adds them; starting from +0 can only change a zero's sign,
+            # which _accumulate's + 0 clears anyway
+            dw = np.zeros((f, ckk), dtype=np.result_type(g, x.data))
+        if x.requires_grad:
+            dx = np.zeros((n, c, hw), dtype=x.dtype)
+        for lo in starts:
+            xb, gb = x.data[lo:lo + block], gl[lo:lo + block]
+            cols = buf[:len(xb)]
+            if w.requires_grad:
+                prods = np.matmul(gb, _im2col(xb, slabs, kh, kw, cols).transpose(0, 2, 1))
+                for p in prods:
+                    dw += p
+            if x.requires_grad:
+                # col2im: add each slab back at its shift, in the same (i, j)
+                # order as a padded scatter.  Wrapped cells are zeroed first;
+                # their +0 is exact, since a sum that starts at +0 is never -0.
+                np.matmul(w2.T, gb, out=cols)
+                dcols = cols.reshape(len(xb), c, kh, kw, hw)
+                dcols6 = cols.reshape(len(xb), c, kh, kw, h, wd)
+                dxb = dx[lo:lo + block]
+                for i, j, s, slo, shi, wrap in slabs:
+                    dcols6[:, :, i, j, :, wrap] = 0
+                    dxb[..., slo + s:shi + s] += dcols[:, :, i, j, slo:shi]
+        if w.requires_grad:
             w._accumulate(dw.reshape(w.shape), owned=True)
         if x.requires_grad:
-            # col2im: add each slab back at its shift, in the same (i, j)
-            # order as a padded scatter.  Wrapped cells are zeroed first;
-            # their +0 is exact, since a sum that starts at +0 is never -0.
-            dcols = np.matmul(w2.T, gl).reshape(n, c, kh, kw, hw)
-            dcols6 = dcols.reshape(n, c, kh, kw, h, wd)
-            dx = np.zeros((n, c, hw), dtype=x.dtype)
-            for i, j, s, lo, hi, wrap in slabs:
-                dcols6[:, :, i, j, :, wrap] = 0
-                dx[..., lo + s:hi + s] += dcols[:, :, i, j, lo:hi]
             x._accumulate(dx.reshape(x.shape), owned=True)
 
     return _make(out, (x, w, b), backward)
@@ -398,10 +432,11 @@ def avg_pool2d(x: Tensor):
         raise ContractError(f"avg_pool2d needs even spatial dims, got {h}x{w}")
     # Pairwise order (a+b) + (c+d), then * 0.25: bit-equal to numpy's mean
     # over the 2x2 window for inputs at least 4 wide, without its reduction
-    # machinery.
+    # machinery.  Column pairs first, then row pairs of those sums: the same
+    # order in two adds instead of three.
     d = x.data
-    out = d[:, :, 0::2, 0::2] + d[:, :, 0::2, 1::2]
-    out += d[:, :, 1::2, 0::2] + d[:, :, 1::2, 1::2]
+    pairs = d[..., 0::2] + d[..., 1::2]
+    out = pairs[:, :, 0::2] + pairs[:, :, 1::2]
     out *= 0.25
 
     def backward(g):

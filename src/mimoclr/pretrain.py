@@ -33,11 +33,13 @@ from .rngstream import stream
 
 log = logging.getLogger(__name__)
 
-# Records per forward-only chunk.  At desk shapes a 64-record chunk's
-# stage-1/2 im2col buffer is 9.4 MB; at 256 records it was 37.7 MB, above
-# glibc's 32 MiB mmap-threshold ceiling, so every conv2d call mapped and
-# page-faulted a fresh buffer instead of reusing freed heap memory.  Each
-# record's output does not depend on the chunk size.
+# Records per forward-only chunk.  conv2d's im2col columns do not grow with
+# the chunk (it builds them one block of samples at a time), but the stage
+# activations do: at desk shapes a 512-record chunk's stage-1 conv output
+# is 33.5 MB, above the 32 MiB mmap threshold the CLI pins, so every
+# forward would map and page-fault it afresh instead of reusing freed heap
+# memory; at 64 records it is 4.2 MB.  Each record's output does not
+# depend on the chunk size.
 FORWARD_CHUNK = 64
 
 # Meta "version" of a pretraining checkpoint.  Version 2 trained the CIR
@@ -122,9 +124,9 @@ def init_pretrain_state(config: PretrainConfig, in_height: int, in_width: int) -
 
 
 def encode_batch(encoder: Encoder, x: np.ndarray, chunk: int = FORWARD_CHUNK) -> np.ndarray:
-    """Forward without recording a tape, chunked to bound im2col buffers;
-    the default chunk keeps them below the allocator's mmap threshold (see
-    FORWARD_CHUNK)."""
+    """Forward without recording a tape, chunked to bound the stage
+    activations; the default chunk keeps them below the allocator's mmap
+    threshold (see FORWARD_CHUNK)."""
     outs = []
     with T.no_grad():
         for lo in range(0, x.shape[0], chunk):

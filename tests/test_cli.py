@@ -414,6 +414,18 @@ def test_finetune_jobs_write_the_same_bytes(work, capsys):
     assert outs["2"] == outs["1"]
 
 
+def test_verbose_finetune_workers_log_their_epochs(work, tmp_path, capfd):
+    # spawned workers write to fd 2 themselves, so capfd, not capsys
+    rc = main(["-v", "finetune", work["data"], "--config", work["config"], "--task", "los",
+               "--init", "scratch", "--seeds", "2", "--jobs", "2", "--epochs", "1",
+               "--out", str(tmp_path / "ft")])
+    err = capfd.readouterr().err
+    assert rc == 0
+    for seed in (0, 1):
+        line = f"INFO mimoclr.finetune: finetune channel_identification scratch seed {seed} epoch 1:"
+        assert line in err, err
+
+
 def test_finetune_workers_default_to_one_blas_thread(monkeypatch):
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)

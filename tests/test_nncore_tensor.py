@@ -258,6 +258,24 @@ def test_avg_pool_forward_bit_equal_to_mean(dtype, shape):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [
+    (64, 8, 32, 64),      # desk stage 1
+    (64, 16, 16, 32),     # desk stage 2
+    (64, 96, 8, 16),      # desk stage 3
+    (3, 4, 6, 2),         # width 2
+])
+def test_avg_pool_forward_bit_equal_to_four_views(dtype, shape):
+    # the corners of each window added as (a + b) + (c + d), then * 0.25
+    x = np.random.default_rng(23).normal(size=shape).astype(dtype)
+    x[0, 0, 0, :2] = [0.0, -0.0]
+    want = x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2]
+    want += x[:, :, 1::2, 0::2] + x[:, :, 1::2, 1::2]
+    want *= 0.25
+    got = T.avg_pool2d(Tensor(x)).data
+    assert _same_bytes(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_avg_pool_forward_width_two(dtype):
     # numpy's mean sums a width-2 input in another order, so only rounding agrees
     x = np.random.default_rng(12).normal(size=(3, 4, 6, 2)).astype(dtype)
@@ -424,6 +442,98 @@ def test_conv2d_bit_equal_to_padded_oracle(dtype, k, x_shape, f, x_grad):
             assert _same_bytes(xt.grad, want_dx)
         else:
             assert xt.grad is None
+
+
+def _conv2d_whole_batch(x, w, b, g, x_grad):
+    """conv2d as one whole-batch pass: one im2col of every sample, one
+    batched matmul, dw by .sum(axis=0) over the per-sample products, and
+    one col2im of the full dcols.  Returns out, dx (None if frozen), dw
+    and db, each gradient written as zeros + g."""
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    hw = h * wd
+    slabs = T._im2col_slabs(h, wd, kh, kw)
+    cols = T._im2col(x, slabs, kh, kw, np.empty((n, c * kh * kw, hw), dtype=x.dtype))
+    w2 = w.reshape(f, -1)
+    out = np.matmul(w2, cols).reshape(n, f, h, wd)
+    out += b[None, :, None, None]
+    gl = g.reshape(n, f, hw)
+    db = np.zeros_like(b)
+    db += g.sum(axis=(0, 2, 3))
+    dw = np.zeros_like(w)
+    dw += np.matmul(gl, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    if not x_grad:
+        return out, None, dw, db
+    dcols = np.matmul(w2.T, gl).reshape(n, c, kh, kw, hw)
+    dcols6 = dcols.reshape(n, c, kh, kw, h, wd)
+    dxf = np.zeros((n, c, hw), dtype=x.dtype)
+    for i, j, s, lo, hi, wrap in slabs:
+        dcols6[:, :, i, j, :, wrap] = 0
+        dxf[..., lo + s:hi + s] += dcols[:, :, i, j, lo:hi]
+    dx = np.zeros_like(x)
+    dx += dxf.reshape(x.shape)
+    return out, dx, dw, db
+
+
+def _samples_per_block(x_shape, k, dtype):
+    c, h, w = x_shape[1:]
+    return max(1, T._COL_BLOCK_BYTES // (c * k * k * h * w * np.dtype(dtype).itemsize))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case, x_shape, f, k, x_grad", [
+    ("one partial block", (5, 16, 8, 16), 96, 3, True),
+    ("blocks and a tail", (33, 16, 8, 16), 96, 3, True),
+    ("sample above budget", (3, 2, 256, 256), 16, 3, True),   # paper stage 1
+    ("frozen input", (33, 8, 16, 32), 16, 3, False),
+])
+def test_conv2d_blocks_bit_equal_to_whole_batch(dtype, case, x_shape, f, k, x_grad):
+    per_block = _samples_per_block(x_shape, k, dtype)
+    n = x_shape[0]
+    assert {"one partial block": n < per_block,
+            "blocks and a tail": n > per_block and n % per_block,
+            "sample above budget": per_block == 1 and n > 1,
+            "frozen input": n > per_block}[case]
+    rng = np.random.default_rng(21)
+    c = x_shape[1]
+    x = rng.normal(size=x_shape).astype(dtype)
+    w = rng.normal(size=(f, c, k, k)).astype(dtype)
+    b = rng.normal(size=f).astype(dtype)
+    g = rng.normal(size=(n, f) + x_shape[2:]).astype(dtype)
+    xt, wt, bt = Tensor(x, requires_grad=x_grad), Tensor(w, True), Tensor(b, True)
+    out = T.conv2d(xt, wt, bt)
+    out._backward(g)
+    want_out, want_dx, want_dw, want_db = _conv2d_whole_batch(x, w, b, g, x_grad)
+    assert np.array_equal(out.data, want_out) and out.data.dtype == dtype
+    assert np.array_equal(wt.grad, want_dw) and wt.grad.dtype == dtype
+    assert np.array_equal(bt.grad, want_db)
+    if x_grad:
+        assert np.array_equal(xt.grad, want_dx) and xt.grad.dtype == dtype
+    else:
+        assert xt.grad is None
+
+
+def test_conv2d_holds_one_block_of_columns(traced_peak):
+    # paper stage 1 at batch 8: the output (32 MiB) and dx (4 MiB) grow with
+    # the batch, the columns do not; one sample's are 4.5 MiB, above the
+    # block budget, so blocks hold one sample.  Whole-batch columns would be
+    # 36 MiB, and col2im's dcols as much again.
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.normal(size=(8, 2, 256, 256)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(16, 2, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(16, dtype=np.float32), requires_grad=True)
+    g = np.ones((8, 16, 256, 256), dtype=np.float32)
+    assert _samples_per_block(x.shape, 3, np.float32) == 1
+    outs = []
+
+    def step():
+        outs.append(T.conv2d(x, w, b))
+        outs[0]._backward(g)
+
+    peak = traced_peak(step)
+    block = 2 * 9 * 256 * 256 * 4
+    slack = 2**20
+    assert peak <= outs[0].data.nbytes + x.grad.nbytes + block + slack, peak / 2**20
 
 
 def test_conv2d_gradient_check_kernel5_width2():
