@@ -11,7 +11,8 @@
 fine-tune epoch, early stops, dropped tail batches) to stderr.  Every
 command prints an effective-config echo; re-running with the echoed config
 and seed reproduces outputs bit-identically.  Exit codes: 0 success, 2
-configuration problems, 3 data problems, 4 training divergence.
+configuration problems, 3 data problems, including a file that cannot be
+read or written, 4 training divergence.
 """
 
 import argparse
@@ -294,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--out", required=True, help="directory for run artifacts")
     f.add_argument("--task", required=True,
                    help="positioning | beam | los (aliases accepted)")
-    f.add_argument("--init", required=True, choices=["pretrained", "scratch", "probe"],
+    f.add_argument("--init", required=True, choices=INITS,
                    help="probe = frozen pretrained encoder, head-only training")
     f.add_argument("--checkpoint", help="pretraining checkpoint (for pretrained/probe)")
     f.add_argument("--labels", type=int, help="label budget (0 = full training split)")
@@ -353,7 +354,7 @@ def _run(args) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, DegenerateDataError, GenerationError) as e:
+    except (DataError, DegenerateDataError, GenerationError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except TrainingDivergenceError as e:

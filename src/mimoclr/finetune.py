@@ -69,8 +69,6 @@ def make_task_spec(kind: str, dataset: Dataset) -> TaskSpec:
     canonical = KIND_ALIASES.get(kind)
     if canonical is None:
         raise ConfigError(f"unknown task '{kind}' (expected one of {sorted(set(KIND_ALIASES))})")
-    if canonical == "positioning":
-        return TaskSpec(canonical, 2)
     if canonical == "beam_management":
         return TaskSpec(canonical, int(dataset.manifest["codebook"]["n_beams"]))
     return TaskSpec(canonical, 2)

@@ -6,7 +6,8 @@ scaled to unit norm, logits L_ij = cos(z_i, w_j) / tau and
 
     loss = -(1/N) * sum_i [ L_ii - logsumexp_j L_ij ]
 
-so each anchor is scored against its own pair and all in-batch mismatches.
+so each anchor is scored against its own pair and all in-batch mismatches:
+cross_entropy_loss of the rows of L, row i labelled i.
 """
 
 import numpy as np
@@ -14,14 +15,6 @@ import numpy as np
 from ..errors import ContractError
 from . import tensor as T
 from .tensor import Tensor
-
-
-def _directional(zn: Tensor, wn: Tensor, tau) -> Tensor:
-    n = zn.shape[0]
-    logits = T.div(T.matmul(zn, T.transpose(wn)), tau)
-    matched = T.gather_rows(logits, np.arange(n))
-    lse = T.logsumexp(logits, axis=1)
-    return T.tmean(T.add(lse, T.mul(matched, -1.0)))
 
 
 def contrastive_loss(z_anchor: Tensor, w_pair: Tensor, tau, symmetric: bool = False) -> Tensor:
@@ -41,9 +34,11 @@ def contrastive_loss(z_anchor: Tensor, w_pair: Tensor, tau, symmetric: bool = Fa
         raise ContractError(f"temperature must be positive, got {tau_val}")
     zn = T.l2_normalize_rows(z_anchor)
     wn = T.l2_normalize_rows(w_pair)
-    loss = _directional(zn, wn, tau)
+    labels = np.arange(z_anchor.shape[0])
+    loss = cross_entropy_loss(T.div(T.matmul(zn, T.transpose(wn)), tau), labels)
     if symmetric:
-        loss = T.mul(T.add(loss, _directional(wn, zn, tau)), 0.5)
+        swapped = cross_entropy_loss(T.div(T.matmul(wn, T.transpose(zn)), tau), labels)
+        loss = T.mul(T.add(loss, swapped), 0.5)
     return loss
 
 

@@ -75,8 +75,8 @@ class AdamW:
 
 
 class LRPlateau:
-    """Cut the learning rate by `factor` after `interval` consecutive epochs
-    without a new best validation loss; `stale` counts the current
+    """Cut the learning rate by `factor` at every `interval`-th epoch of a
+    streak without a new best validation loss; `stale` counts the current
     no-improvement streak (it survives cuts) for early stopping.
 
     The first observation opens a streak of 1: an epoch only clears the
@@ -89,7 +89,6 @@ class LRPlateau:
         self.factor = float(factor)
         self.interval = int(interval)
         self.best = None
-        self.plateau = 0
         self.stale = 0
 
     def observe(self, val_loss: float, lr: float) -> float:
@@ -101,26 +100,22 @@ class LRPlateau:
             raise TrainingDivergenceError(f"non-finite validation loss {val_loss}")
         if self.best is not None and val_loss < self.best:
             self.best = val_loss
-            self.plateau = 0
             self.stale = 0
             return lr
         if self.best is None:
             self.best = val_loss
-        self.plateau += 1
         self.stale += 1
-        if self.plateau >= self.interval:
+        if self.stale % self.interval == 0:
             lr = lr * self.factor
-            self.plateau = 0
         return lr
 
     def state(self) -> dict:
         return {"factor": self.factor, "interval": self.interval,
-                "best": self.best, "plateau": self.plateau, "stale": self.stale}
+                "best": self.best, "stale": self.stale}
 
     @classmethod
     def from_state(cls, s: dict) -> "LRPlateau":
         sched = cls(factor=s["factor"], interval=s["interval"])
         sched.best = s["best"]
-        sched.plateau = int(s["plateau"])
         sched.stale = int(s["stale"])
         return sched

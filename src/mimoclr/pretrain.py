@@ -263,7 +263,7 @@ def load_pretrain_state(path: str):
     """Rebuild a live PretrainState from a checkpoint; returns (state, meta)."""
     meta, tensors = ckpt.load_checkpoint(path)
     if meta.get("kind") != "pretrain":
-        raise ContractError(f"{path} is not a pretraining checkpoint")
+        raise DataError(f"{path}: not a pretraining checkpoint (kind {meta.get('kind')!r})")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(
             f"{path} has pretraining checkpoint version {meta.get('version')}, not "
@@ -356,5 +356,4 @@ def run_pretraining(dataset: Dataset, config: PretrainConfig, out_dir: str,
         if state.schedule.stale > config.patience:
             log.info("early stop at epoch %d (stale %d > patience %d)",
                      state.epoch, state.schedule.stale, config.patience)
-            break
     return state.restore_best()

@@ -568,6 +568,52 @@ def test_report_unreadable_artifact_exit_code(tmp_path, capsys):
     assert rc == EXIT_DATA and "artifact" in err
 
 
+def _resume_without_checkpoint(work, tmp_path):
+    out = tmp_path / "pre"
+    return (["pretrain", work["data"], "--config", work["config"], "--out", str(out),
+             "--resume"], out / "pretrain.ckpt")
+
+
+def _finetune_from_missing_checkpoint(work, tmp_path):
+    missing = tmp_path / "nowhere.ckpt"
+    return (["finetune", work["data"], "--config", work["config"], "--task", "los",
+             "--init", "pretrained", "--checkpoint", str(missing),
+             "--out", str(tmp_path / "ft")], missing)
+
+
+def _report_into_missing_dir(work, tmp_path):
+    art = tmp_path / "run.json"
+    art.write_text(json.dumps(RUN))
+    missing = tmp_path / "no_dir"
+    return ["report", str(art), "--json", str(missing / "r.json")], missing
+
+
+def _generate_over_a_file(work, tmp_path):
+    target = tmp_path / "taken"
+    target.write_text("")
+    return ["generate", "--config", work["config"], "--out", str(target)], target
+
+
+@pytest.mark.parametrize("case", [_resume_without_checkpoint, _finetune_from_missing_checkpoint,
+                                  _report_into_missing_dir, _generate_over_a_file])
+def test_a_file_that_cannot_be_read_or_written_exits_data(work, tmp_path, capsys, case):
+    argv, path = case(work, tmp_path)
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA and str(path) in err
+
+
+def test_finetune_from_a_finetune_checkpoint_exits_data(work, tmp_path, capsys):
+    base = ["finetune", work["data"], "--config", work["config"], "--task", "los"]
+    assert main([*base, "--init", "scratch", "--epochs", "1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    other = tmp_path / "channel_identification_scratch_seed0.ckpt"
+    rc = main([*base, "--init", "pretrained", "--checkpoint", str(other),
+               "--out", str(tmp_path / "ft")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA and str(other) in err and "'finetune'" in err
+
+
 def test_pretrain_nan_validation_loss_exits_diverged(work, monkeypatch, capsys):
     monkeypatch.setattr(pt, "evaluate_pairs", lambda *a, **k: (float("nan"), 0.5))
     rc = main(["pretrain", work["data"], "--config", work["config"],

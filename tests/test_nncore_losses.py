@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mimoclr.errors import ContractError
+from mimoclr.nncore import tensor as T
 from mimoclr.nncore.losses import contrastive_loss, cross_entropy_loss, mse_loss
 from mimoclr.nncore.tensor import Tensor
 
@@ -101,6 +102,52 @@ def test_contrastive_learnable_tau_tensor():
     assert float(loss.data) == pytest.approx(contrastive_oracle(z, w, 0.25), rel=1e-10)
     loss.backward()
     assert tau.grad is not None and np.ndim(tau.grad) == 0
+
+
+def _directional(zn, wn, tau):
+    """One direction of the loss as its own graph: matched logits picked
+    with gather_rows and subtracted from each row's logsumexp."""
+    n = zn.shape[0]
+    logits = T.div(T.matmul(zn, T.transpose(wn)), tau)
+    matched = T.gather_rows(logits, np.arange(n))
+    lse = T.logsumexp(logits, axis=1)
+    return T.tmean(T.add(lse, T.mul(matched, -1.0)))
+
+
+def directional_reference(z, w, tau, symmetric=False):
+    """contrastive_loss built from `_directional`, the graph it must equal
+    bit for bit, forward and backward."""
+    zn = T.l2_normalize_rows(z)
+    wn = T.l2_normalize_rows(w)
+    loss = _directional(zn, wn, tau)
+    if symmetric:
+        loss = T.mul(T.add(loss, _directional(wn, zn, tau)), 0.5)
+    return loss
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("learnable_tau", [False, True])
+@pytest.mark.parametrize("n", [16, 37])
+def test_contrastive_is_bit_equal_to_the_directional_reference(dtype, symmetric,
+                                                               learnable_tau, n):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        zd = rng.normal(size=(n, 12)).astype(dtype)
+        wd = rng.normal(size=(n, 12)).astype(dtype)
+        tau_d = np.asarray(rng.uniform(0.05, 1.0), dtype=dtype)
+        runs = []
+        for build in (contrastive_loss, directional_reference):
+            z = Tensor(zd.copy(), requires_grad=True)
+            w = Tensor(wd.copy(), requires_grad=True)
+            tau = Tensor(tau_d.copy(), requires_grad=True) if learnable_tau else float(tau_d)
+            loss = build(z, w, tau, symmetric=symmetric)
+            loss.backward()
+            runs.append([loss.data, z.grad, w.grad] + ([tau.grad] if learnable_tau else []))
+        for got, want in zip(*runs):
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def ce_oracle(logits, labels):

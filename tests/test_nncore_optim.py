@@ -130,6 +130,64 @@ def test_plateau_state_round_trip():
     assert clone.state() == sched.state()
 
 
+class TwoCounterPlateau:
+    """The schedule with a separate plateau counter that restarts at every
+    cut: the reference LRPlateau's one `stale` counter must match."""
+
+    def __init__(self, factor, interval):
+        self.factor, self.interval = factor, interval
+        self.best, self.plateau, self.stale = None, 0, 0
+
+    def observe(self, val_loss, lr):
+        if self.best is not None and val_loss < self.best:
+            self.best, self.plateau, self.stale = val_loss, 0, 0
+            return lr
+        if self.best is None:
+            self.best = val_loss
+        self.plateau += 1
+        self.stale += 1
+        if self.plateau >= self.interval:
+            lr = lr * self.factor
+            self.plateau = 0
+        return lr
+
+
+def _plateau_losses(rng, steps):
+    """A loss sequence with long flat and rising stretches: a random walk,
+    rounded so that exact repeats of the best occur."""
+    return np.round(np.cumsum(rng.normal(0.02, 0.5, size=steps)), 1).tolist()
+
+
+@pytest.mark.parametrize("interval", range(1, 12))
+def test_plateau_matches_the_two_counter_reference(interval):
+    for seed in range(20):
+        rng = np.random.default_rng([interval, seed])
+        factor = float(rng.uniform(0.1, 0.9))
+        sched, ref = LRPlateau(factor, interval), TwoCounterPlateau(factor, interval)
+        lr = ref_lr = 1e-3
+        for loss in _plateau_losses(rng, 120):
+            lr, ref_lr = sched.observe(loss, lr), ref.observe(loss, ref_lr)
+            assert lr == ref_lr and sched.stale == ref.stale
+
+
+def test_plateau_resumes_from_a_state_with_the_plateau_counter():
+    rng = np.random.default_rng(8)
+    losses = _plateau_losses(rng, 200)
+    for interval in (1, 3, 7):
+        for cut_at in (1, 50, 99, 150):
+            ref = TwoCounterPlateau(0.5, interval)
+            lr = 1.0
+            for loss in losses[:cut_at]:
+                lr = ref.observe(loss, lr)
+            legacy = {"factor": ref.factor, "interval": ref.interval, "best": ref.best,
+                      "plateau": ref.plateau, "stale": ref.stale}
+            sched, ref_lr = LRPlateau.from_state(legacy), lr
+            for loss in losses[cut_at:]:
+                lr, ref_lr = sched.observe(loss, lr), ref.observe(loss, ref_lr)
+                assert lr == ref_lr and sched.stale == ref.stale
+            assert "plateau" not in sched.state()
+
+
 # ---------------------------------------------------------------- grad check
 
 def test_gradient_check_linear_exact():
