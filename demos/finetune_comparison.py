@@ -40,8 +40,8 @@ with tempfile.TemporaryDirectory(prefix="ftcomp_") as tmp:
     ft_cfg = FinetuneConfig(batch_size=16, lr=2e-3, epochs=20, label_budget=60,
                             head_hidden=32)
     task = "beam"
-    runs = run_sweep(ds, task, ("pretrained", "scratch"), range(3), ft_cfg, pre_cfg,
-                     f"{tmp}/pre/pretrain.ckpt")
+    runs = run_sweep(f"{tmp}/manifest.json", task, ("pretrained", "scratch"), range(3), ft_cfg,
+                     pre_cfg, f"{tmp}/pre/pretrain.ckpt")
     for r in runs:
         print(f"{r['init']:>10} seed {r['seed']}: beam accuracy {r['val_metric']:.3f} "
               f"(best epoch {r['best_epoch']}, chance 1/16)")

@@ -16,13 +16,10 @@ read or written, 4 training divergence.
 """
 
 import argparse
-import concurrent.futures
-import contextlib
 import ctypes
 import dataclasses
 import json
 import logging
-import multiprocessing
 import os
 import sys
 import time
@@ -94,48 +91,6 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _sweep(data: str, *sweep_args) -> list:
-    """`finetune.run_sweep` over the dataset, opened once; runs in a worker too."""
-    dataset = datapipe.open_dataset(os.path.join(data, "manifest.json"))
-    return ft.run_sweep(dataset, *sweep_args)
-
-
-# BLAS thread-count variables each finetune --jobs worker defaults to 1.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _log_to_stderr(level: int) -> logging.Handler:
-    """Log the `mimoclr` logger's records from `level` up to stderr, as
-    `-v` does; returns the handler added."""
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    log = logging.getLogger("mimoclr")
-    log.addHandler(handler)
-    log.setLevel(level)
-    return handler
-
-
-@contextlib.contextmanager
-def _worker_pool(jobs: int):
-    """A spawn process pool whose workers run one BLAS thread each, so N
-    workers do not each start a thread per core, and which log to stderr
-    from the parent's `mimoclr` level when it has one (`-v`).  Workers read
-    the thread variables when they import numpy, so those the user left
-    unset are set to 1 while the pool starts its workers, and removed again
-    afterwards."""
-    unset = [var for var in BLAS_THREAD_VARS if var not in os.environ]
-    os.environ.update(dict.fromkeys(unset, "1"))
-    level = logging.getLogger("mimoclr").level
-    try:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, mp_context=multiprocessing.get_context("spawn"),
-                initializer=_log_to_stderr if level else None, initargs=(level,)) as pool:
-            yield pool
-    finally:
-        for var in unset:
-            os.environ.pop(var, None)
-
-
 def cmd_finetune(args) -> int:
     cfg = cfgmod.load_config(args.config)
     fcfg = cfgmod.finetune_config(cfg, label_budget=args.labels, epochs=args.epochs)
@@ -147,15 +102,8 @@ def cmd_finetune(args) -> int:
                        "init": args.init, "checkpoint": args.checkpoint, "seeds": seeds,
                        "finetune": dataclasses.asdict(fcfg),
                        "pretrain": {k: getattr(pcfg, k) for k in cfgmod.ARCHITECTURE_FIELDS}})
-    jobs = min(args.jobs, len(seeds))
-    if jobs > 1:
-        with _worker_pool(jobs) as pool:
-            parts = [pool.submit(_sweep, args.data, args.task, [args.init], seeds[i::jobs],
-                                 fcfg, pcfg, args.checkpoint, args.out) for i in range(jobs)]
-            summaries = sorted((s for p in parts for s in p.result()), key=lambda s: s["seed"])
-    else:
-        summaries = _sweep(args.data, args.task, [args.init], seeds, fcfg, pcfg,
-                           args.checkpoint, args.out)
+    summaries = ft.run_sweep(os.path.join(args.data, "manifest.json"), args.task, [args.init],
+                             seeds, fcfg, pcfg, args.checkpoint, args.out, jobs=args.jobs)
     for s in summaries:
         print(f"{s['task']} {s['init']} seed {s['seed']}: "
               f"{s['metric_name']} {s['val_metric']:.4f} "
@@ -185,7 +133,7 @@ def cmd_report(args) -> int:
         try:
             with open(path, "r", encoding="utf-8") as f:
                 artifacts.append(json.load(f))
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:
             raise DataError(f"cannot read run artifact {path}: {e}") from e
     _echo("report", {"n_artifacts": len(artifacts)})
 
@@ -301,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--labels", type=int, help="label budget (0 = full training split)")
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--seeds", type=count, default=1, help="run this many consecutive seeds")
-    f.add_argument("--jobs", type=count, default=1, help="parallel workers across seeds")
+    f.add_argument("--jobs", type=count, default=1, help="parallel workers across runs")
     f.add_argument("--epochs", type=count)
     f.set_defaults(fn=cmd_finetune)
 
@@ -340,7 +288,7 @@ def main(argv=None) -> int:
         return _run(args)
     log = logging.getLogger("mimoclr")
     level = log.level
-    handler = _log_to_stderr(logging.INFO)
+    handler = ft.log_to_stderr(logging.INFO)
     try:
         return _run(args)
     finally:

@@ -126,14 +126,12 @@ class PretrainConfig:
 
     def __post_init__(self):
         _at_least(self, "pretrain", 2, "batch_size")
+        _at_least(self, "pretrain", 1, "max_epochs", "patience", "lr_interval")
         if not (0.0 < self.holdout_fraction < 1.0):
             raise ConfigError(f"holdout_fraction must be in (0,1), got {self.holdout_fraction}")
         if self.tau_init < self.tau_min or self.tau_min <= 0:
             raise ConfigError(f"need tau_init >= tau_min > 0, got {self.tau_init}, {self.tau_min}")
-        if self.max_epochs < 1 or self.patience < 1:
-            raise ConfigError(f"max_epochs and patience must be >= 1")
         _at_least(self, "pretrain", 0, "lr", "weight_decay")
-        _at_least(self, "pretrain", 1, "lr_interval")
         if not 0.0 < self.lr_factor < 1.0:
             raise ConfigError(f"pretrain.lr_factor must be in (0,1), got {self.lr_factor}")
         check_architecture(self.widths, self.kernel_size, self.embed_dim, "pretrain.")
@@ -156,8 +154,7 @@ class FinetuneConfig:
     head_hidden: int = 64
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1 or self.head_hidden < 1:
-            raise ConfigError(f"bad finetune config: {self}")
+        _at_least(self, "finetune", 1, "batch_size", "epochs", "head_hidden")
         _at_least(self, "finetune", 0, "lr", "weight_decay", "label_budget")
 
 
@@ -175,21 +172,21 @@ def builtin_presets() -> list:
 
 def load_config(name_or_path: str) -> dict:
     """Load a config by file path, or by built-in preset name, as the raw
-    mapping of its sections."""
+    mapping of its sections; a file that is not UTF-8 text does not parse."""
     source = name_or_path
     try:
-        with open(name_or_path, "r", encoding="utf-8") as f:
-            text = f.read()
+        with open(name_or_path, "rb") as f:
+            raw = f.read()
     except OSError:
         preset = importlib.resources.files("mimoclr") / "configs" / f"{name_or_path}.yaml"
         if not preset.is_file():
             raise ConfigError(
                 f"config '{name_or_path}' is neither a readable file nor a built-in "
                 f"preset (available: {', '.join(builtin_presets())})")
-        text = preset.read_text(encoding="utf-8")
+        raw = preset.read_bytes()
         source = f"preset '{name_or_path}'"
     try:
-        cfg = yaml.safe_load(text)
+        cfg = yaml.safe_load(raw)
     except yaml.YAMLError as e:
         raise ConfigError(f"cannot parse {source}: {e}") from e
     if not isinstance(cfg, dict):

@@ -15,14 +15,19 @@ Tasks:
     channel_identification   -> LoS/NLoS binary classification, cross-entropy
 """
 
+import concurrent.futures
+import contextlib
 import dataclasses
+import functools
 import logging
 import math
+import multiprocessing
 import os
 import time
 
 import numpy as np
 
+from . import datapipe
 from .config import FinetuneConfig, PretrainConfig
 from .datapipe import Dataset, load_batch
 from .errors import (ConfigError, ContractError, DataError, DegenerateDataError,
@@ -311,29 +316,79 @@ def finetune_summary(run: FinetuneRun) -> dict:
     }
 
 
-def run_sweep(dataset: Dataset, task_kind: str, inits, seeds, config: FinetuneConfig,
-              arch: PretrainConfig, checkpoint_path=None, out_dir=None) -> list:
-    """Fine-tune one run per (seed, init mode), seed-major, each with the
-    encoder architecture `arch` declares, and return their summaries.  With
-    `out_dir`, each run also writes its weights (and positioning target
-    statistics) to `<task>_<init>_seed<s>.ckpt` and its summary to `.json`,
-    whose path the summary then holds as "artifact"."""
+# BLAS thread-count variables each sweep worker defaults to 1.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def log_to_stderr(level: int) -> logging.Handler:
+    """Log `mimoclr` records from `level` up to stderr, as `-v` does; returns the handler."""
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger = logging.getLogger("mimoclr")
+    logger.addHandler(handler)
+    logger.setLevel(level)
+    return handler
+
+
+@contextlib.contextmanager
+def _worker_pool(jobs: int):
+    """A spawn process pool whose workers run one BLAS thread each, so N
+    workers do not each start a thread per core, and which log to stderr
+    from the parent's `mimoclr` level when it has one (`-v`).  Workers read
+    the thread variables when they import numpy, so those the user left
+    unset are set to 1 while the pool starts its workers, and removed again
+    afterwards."""
+    unset = [var for var in BLAS_THREAD_VARS if var not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    level = logging.getLogger("mimoclr").level
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs, mp_context=multiprocessing.get_context("spawn"),
+                initializer=log_to_stderr if level else None, initargs=(level,)) as pool:
+            yield pool
+    finally:
+        for var in unset:
+            os.environ.pop(var, None)
+
+
+def _run_part(manifest_path, task_kind, config, arch, checkpoint_path, out_dir, runs) -> list:
+    """Fine-tune `runs`, (seed, init mode) pairs, in order on the dataset opened once."""
+    dataset = datapipe.open_dataset(manifest_path)
     summaries = []
-    for seed in seeds:
-        for init_mode in inits:
-            run = init_finetune_run(dataset, task_kind, init_mode, seed, config, arch,
-                                    checkpoint_path)
-            finetune(run, dataset)
-            summary = finetune_summary(run)
-            if out_dir is not None:
-                stem = os.path.join(out_dir, f"{run.task.kind}_{init_mode}_seed{seed}")
-                os.makedirs(out_dir, exist_ok=True)
-                tensors = {f"encoder.{k}": p.data for k, p in run.encoder.params.items()}
-                tensors.update({f"head.{k}": p.data for k, p in run.head.params.items()})
-                if run.target_mean is not None:
-                    tensors.update(target_mean=run.target_mean, target_std=run.target_std)
-                ckpt.save_checkpoint(stem + ".ckpt", summary, tensors)
-                ckpt.write_json(stem + ".json", summary)
-                summary["artifact"] = stem + ".json"
-            summaries.append(summary)
+    for seed, init_mode in runs:
+        run = init_finetune_run(dataset, task_kind, init_mode, seed, config, arch, checkpoint_path)
+        finetune(run, dataset)
+        summary = finetune_summary(run)
+        if out_dir is not None:
+            stem = os.path.join(out_dir, f"{run.task.kind}_{init_mode}_seed{seed}")
+            os.makedirs(out_dir, exist_ok=True)
+            tensors = {f"encoder.{k}": p.data for k, p in run.encoder.params.items()}
+            tensors.update({f"head.{k}": p.data for k, p in run.head.params.items()})
+            if run.target_mean is not None:
+                tensors.update(target_mean=run.target_mean, target_std=run.target_std)
+            ckpt.save_checkpoint(stem + ".ckpt", summary, tensors)
+            ckpt.write_json(stem + ".json", summary)
+            summary["artifact"] = stem + ".json"
+        summaries.append(summary)
     return summaries
+
+
+def run_sweep(manifest_path: str, task_kind: str, inits, seeds, config: FinetuneConfig,
+              arch: PretrainConfig, checkpoint_path=None, out_dir=None, jobs: int = 1) -> list:
+    """Fine-tune one run per (seed, init mode) on the dataset at `manifest_path`
+    with the encoder `arch` declares; return the summaries seed-major.  With
+    `out_dir`, each run writes its weights (and positioning target statistics)
+    to `<task>_<init>_seed<s>.ckpt` and its summary, whose path the summary
+    holds as "artifact", to `.json`.  With `jobs` > 1, spawned workers (at most
+    one per run and per CPU) take the runs round-robin; the results are equal."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    runs = [(seed, init_mode) for seed in seeds for init_mode in inits]
+    jobs = min(jobs, len(runs), os.cpu_count() or 1)
+    part = functools.partial(_run_part, manifest_path, task_kind, config, arch,
+                             checkpoint_path, out_dir)
+    if jobs <= 1:
+        return part(runs)
+    with _worker_pool(jobs) as pool:
+        parts = list(pool.map(part, [runs[i::jobs] for i in range(jobs)]))
+    return [parts[k % jobs][k // jobs] for k in range(len(runs))]

@@ -37,11 +37,16 @@ def mini_dataset(mini_root):
 
 
 @pytest.fixture(scope="session")
-def desk_dataset(tmp_path_factory):
+def desk_root(tmp_path_factory):
+    """The directory `desk_dataset` is written to."""
+    return tmp_path_factory.mktemp("desk")
+
+
+@pytest.fixture(scope="session")
+def desk_dataset(desk_root):
     """The full desk preset: 4 scenarios, 2560 samples."""
-    root = tmp_path_factory.mktemp("desk")
     ds = dataset_config(load_config("desk"))
-    return _build(root, ds.scenarios, ds.geometry, seed=ds.seed,
+    return _build(desk_root, ds.scenarios, ds.geometry, seed=ds.seed,
                   fraction=ds.train_fraction)
 
 

@@ -245,15 +245,15 @@ def pt_pairs_count(dataset):
 # --- 6. Low-label trend ----------------------------------------------------
 
 @pytest.mark.slow
-def test_low_label_trend(desk_dataset, desk_pretrained):
+def test_low_label_trend(desk_root, desk_dataset, desk_pretrained):
     _, _, ckpt_path = desk_pretrained
     t0 = time.monotonic()
     cfg = load_config("desk")
     fcfg = finetune_config(cfg, label_budget=200, epochs=25)
     results = {}
     for task in ("positioning", "beam", "los"):
-        runs = ft.run_sweep(desk_dataset, task, ("pretrained", "scratch"), range(5), fcfg,
-                            pretrain_config(cfg), ckpt_path)
+        runs = ft.run_sweep(str(desk_root / "manifest.json"), task, ("pretrained", "scratch"),
+                            range(5), fcfg, pretrain_config(cfg), ckpt_path, jobs=2)
         results[task] = {init: float(np.median([r["val_metric"] for r in runs
                                                 if r["init"] == init]))
                          for init in ("pretrained", "scratch")}
@@ -269,6 +269,7 @@ def test_low_label_trend(desk_dataset, desk_pretrained):
           f"beam {results['beam']['pretrained']:.4f} vs {results['beam']['scratch']:.4f}, "
           f"los {results['los']['pretrained']:.4f} vs {results['los']['scratch']:.4f}, "
           f"{wall:.0f}s")
+    print(f"trend medians: {results!r}")
 
 
 # --- 7. Pipeline determinism -----------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import mimoclr
-from mimoclr import cli, datapipe, finetune as ft, pretrain as pt
+from mimoclr import datapipe, finetune as ft, pretrain as pt
 from mimoclr.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, main
 from mimoclr.config import pretrain_config
 from mimoclr.nncore import checkpoint
@@ -430,10 +430,10 @@ def test_finetune_workers_default_to_one_blas_thread(monkeypatch):
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("MKL_NUM_THREADS", "3")
-    with cli._worker_pool(2) as pool:
-        seen = [pool.submit(os.getenv, var).result(timeout=60) for var in cli.BLAS_THREAD_VARS]
-    assert cli.BLAS_THREAD_VARS == ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                    "MKL_NUM_THREADS")
+    with ft._worker_pool(2) as pool:
+        seen = [pool.submit(os.getenv, var).result(timeout=60) for var in ft.BLAS_THREAD_VARS]
+    assert ft.BLAS_THREAD_VARS == ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS")
     assert seen == ["1", "1", "3"]
     # the parent's environment is restored
     assert "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ
@@ -566,6 +566,18 @@ def test_report_unreadable_artifact_exit_code(tmp_path, capsys):
     rc = main(["report", str(tmp_path / "missing.json")])
     err = capsys.readouterr().err
     assert rc == EXIT_DATA and "artifact" in err
+
+
+@pytest.mark.parametrize("command,code", [("report", EXIT_DATA), ("generate", EXIT_CONFIG)])
+def test_a_file_that_is_not_utf8_exits_naming_it(tmp_path, capsys, command, code):
+    path = tmp_path / "binary"
+    path.write_bytes(bytes(range(256)))
+    argv = {"report": ["report", str(path)],
+            "generate": ["generate", "--config", str(path), "--out", str(tmp_path / "data")]}
+    rc = main(argv[command])
+    err = capsys.readouterr().err
+    assert rc == code and str(path) in err and "Traceback" not in err
+    assert not (tmp_path / "data").exists()
 
 
 def _resume_without_checkpoint(work, tmp_path):

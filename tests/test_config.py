@@ -192,6 +192,11 @@ MALFORMED = [
     (("pretrain", "weight_decay"), -5, "pretrain.weight_decay"),
     (("finetune", "weight_decay"), -5, "finetune.weight_decay"),
     (("finetune", "lr"), -0.001, "finetune.lr"),
+    (("finetune", "epochs"), 0, "finetune.epochs"),
+    (("finetune", "batch_size"), 0, "finetune.batch_size"),
+    (("finetune", "head_hidden"), 0, "finetune.head_hidden"),
+    (("pretrain", "max_epochs"), 0, "pretrain.max_epochs"),
+    (("pretrain", "patience"), 0, "pretrain.patience"),
 ]
 MALFORMED_IDS = [".".join(map(str, where)) + f"={value!r}" for where, value, _ in MALFORMED]
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import os
 import re
 
 import numpy as np
@@ -326,11 +327,35 @@ def loop_oracle(dataset, task, inits, seeds, config, checkpoint_path):
 
 
 @pytest.mark.parametrize("task", ["pos", "beam", "los"])
-def test_run_sweep_matches_per_run_loop(mini_dataset, mini_checkpoint, task):
+def test_run_sweep_matches_per_run_loop(mini_root, mini_dataset, mini_checkpoint, task):
     cfg = dataclasses.replace(FT, epochs=2, label_budget=40)
     inits = ("pretrained", "scratch", "probe")
-    got = F.run_sweep(mini_dataset, task, inits, range(2), cfg, PRE, mini_checkpoint)
+    got = F.run_sweep(str(mini_root / "manifest.json"), task, inits, range(2), cfg, PRE,
+                      mini_checkpoint)
     want = loop_oracle(mini_dataset, task, inits, range(2), cfg, mini_checkpoint)
     assert [{k: s[k] for k in want[0]} for s in got] == want
     assert [s["frozen_encoder"] for s in got] == [i == "probe" for i in inits] * 2
     assert all("artifact" not in s for s in got)
+
+
+def test_run_sweep_workers_match_one_process(mini_root, mini_checkpoint, tmp_path):
+    """Two workers deal the 9 runs out 5 + 4 and return the in-process
+    summaries, float for float, and write the same files, byte for byte."""
+    cfg = dataclasses.replace(FT, epochs=2, label_budget=40)
+    got = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        summaries = F.run_sweep(str(mini_root / "manifest.json"), "pos",
+                                ("pretrained", "scratch", "probe"), range(3), cfg, PRE,
+                                mini_checkpoint, str(out), jobs=jobs)
+        for s in summaries:
+            s["artifact"] = os.path.basename(s["artifact"])
+        got[jobs] = summaries, {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(got[1][0]) == 9 and len(got[1][1]) == 18
+    assert got[2] == got[1]
+
+
+def test_run_sweep_refuses_zero_jobs(mini_root):
+    with pytest.raises(ConfigError, match="jobs"):
+        F.run_sweep(str(mini_root / "manifest.json"), "los", ("scratch",), range(1), FT, PRE,
+                    jobs=0)
