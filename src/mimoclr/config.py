@@ -46,7 +46,8 @@ ARCHITECTURE_FIELDS = ("widths", "kernel_size", "embed_dim")
 
 def config_from_dict(cls, d, section: str):
     """Read the mapping `d` into the dataclass `cls` by its fields' declared
-    types; errors name keys under `section`.  Building `cls` checks values."""
+    types; errors name keys under `section`.  Building `cls` checks values;
+    a range error that does not already name `section` gets it in front."""
     if not isinstance(d, dict):
         raise ConfigError(f"{section} must be a mapping, got {d!r}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -57,7 +58,13 @@ def config_from_dict(cls, d, section: str):
                and f.default is dataclasses.MISSING is f.default_factory]
     if missing:
         raise ConfigError(f"missing config keys {missing}")
-    return cls(**{k: _read_field(fields[k].type, v, f"{section}.{k}") for k, v in d.items()})
+    values = {k: _read_field(fields[k].type, v, f"{section}.{k}") for k, v in d.items()}
+    try:
+        return cls(**values)
+    except ConfigError as e:
+        if str(e).startswith(section):
+            raise
+        raise ConfigError(f"{section}: {e}") from None
 
 
 def _read_field(kind, value, name: str):

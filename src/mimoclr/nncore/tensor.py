@@ -1,8 +1,17 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
-Tensors wrap an ndarray plus the bookkeeping needed to backpropagate a
-scalar loss.  The op set is exactly what the encoders and losses need; every
-backward pass accumulates in a fixed topological order, so gradients are
+A Tensor is an ndarray and, once it needs one, a graph node.  The node
+holds the bookkeeping to backpropagate a scalar loss: the tensor's shape,
+dtype and layout, its gradient and, for an op's output, the parent nodes
+and the backward closure.  A node never refers to its tensor, and each
+closure captures at forward time only the arrays its backward reads (see
+each op), so a recorded graph keeps no op output that no backward needs:
+an intermediate tensor the caller drops frees its data at once.  That also
+means rebinding an input's .data after forward no longer changes a
+gradient; an in-place edit of a captured array still does.
+
+The op set is exactly what the encoders and losses need; every backward
+pass accumulates in a fixed topological order, so gradients are
 bit-reproducible run to run.
 
 Works in float32 (training default) or float64 (gradient checks).
@@ -15,52 +24,116 @@ import numpy as np
 from ..errors import ContractError
 
 
-class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+class _Node:
+    """Graph bookkeeping for one tensor: the shape, dtype and order (C, or
+    F for Fortran-ordered data) that lay out .grad like the tensor's data,
+    the gradient, and, for an op's output, the parent nodes and the
+    backward closure.  A leaf has no parents and no closure."""
+    __slots__ = ("shape", "dtype", "order", "grad", "parents", "backward")
 
-    def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data)
+    def __init__(self, data, parents=(), backward=None):
+        self.follow(data)
         self.grad = None
-        self.requires_grad = requires_grad
-        self._parents = ()
-        self._backward = None
+        self.parents = parents
+        self.backward = backward
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.grad is not None})"
+    def follow(self, data):
+        """Lay .grad out like `data` from now on."""
+        self.shape = data.shape
+        self.dtype = data.dtype
+        self.order = "F" if data.flags.f_contiguous and not data.flags.c_contiguous else "C"
 
     def _accumulate(self, g, owned=False):
         """Add `g` into .grad.  The first write is `g + 0`, which maps -0.0
         to +0.0 exactly as zeros + g does.  `owned` says the calling op
         allocated `g` for this call and keeps no other reference to it; a
-        `g` laid out like .data is then normalised in place and kept."""
+        `g` laid out like the tensor's data is then normalised in place and
+        kept."""
         if self.grad is not None:
             self.grad += g
-        elif (owned and g.dtype == self.data.dtype and g.shape == self.data.shape
-              and g.flags.c_contiguous and self.data.flags.c_contiguous):
+        elif (owned and g.dtype == self.dtype and g.shape == self.shape
+              and g.flags.c_contiguous and self.order == "C"):
             self.grad = np.add(g, 0, out=g)
         else:
-            self.grad = np.add(g, 0, out=np.empty_like(self.data))
+            self.grad = np.add(g, 0, out=np.empty(self.shape, self.dtype, order=self.order))
+
+
+class Tensor:
+    """An ndarray, whether ops record it for a gradient, and the node that
+    holds its .grad once it has one: an op's output gets its node when the
+    op is recorded, any other tensor when it first needs one."""
+    __slots__ = ("_data", "requires_grad", "_node")
+
+    def __init__(self, data, requires_grad=False):
+        self._data = np.asarray(data)
+        self.requires_grad = requires_grad
+        self._node = None
+
+    @property
+    def data(self):
+        return self._data
+
+    @data.setter
+    def data(self, value):
+        self._data = value
+        if self._node is not None:
+            self._node.follow(value)
+
+    def _grad_node(self) -> "_Node":
+        if self._node is None:
+            self._node = _Node(self._data)
+        return self._node
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self._grad_node().grad = value
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node.parents
+
+    @_parents.setter
+    def _parents(self, parents):
+        self._node.parents = parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node.backward = fn
+
+    @property
+    def shape(self):
+        return self._data.shape
+
+    @property
+    def dtype(self):
+        return self._data.dtype
+
+    def __repr__(self):
+        return f"Tensor(shape={self.shape}, dtype={self.dtype}, grad={self.grad is not None})"
 
     def backward(self):
         """Backpropagate from a scalar, adding into every leaf's .grad.
 
-        A non-leaf tensor (one made by an op) drops its .grad as soon as its
+        A non-leaf node (one made by an op) drops its .grad as soon as its
         closure has consumed it, so read gradients on leaves.  Closures and
-        parents are kept: the same graph can be backpropagated again, and a
-        second call adds exactly one more gradient into each leaf."""
-        if self.data.size != 1:
-            raise ContractError(f"backward() needs a scalar, got shape {self.data.shape}")
+        parent nodes are kept: the same graph can be backpropagated again,
+        and a second call adds exactly one more gradient into each leaf."""
+        if self._data.size != 1:
+            raise ContractError(f"backward() needs a scalar, got shape {self.shape}")
+        if not self.requires_grad:
+            raise ContractError("backward() needs a tensor that requires grad")
+        root = self._grad_node()
         topo = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -70,13 +143,13 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self._data)
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+            if node.backward is not None:
+                node.backward(node.grad)
                 node.grad = None
 
 
@@ -104,10 +177,9 @@ _grad_enabled = True
 
 @contextlib.contextmanager
 def no_grad():
-    """Run ops without recording them: outputs carry no parents and no
-    backward closure, so buffers an op saves for backward are freed as soon
-    as it returns.  Forward values are unchanged.  The switch is one flag
-    per process, not per thread."""
+    """Run ops without recording them: outputs carry no node, so buffers an
+    op saves for backward are freed as soon as it returns.  Forward values
+    are unchanged.  The switch is one flag per process, not per thread."""
     global _grad_enabled
     prev = _grad_enabled
     _grad_enabled = False
@@ -117,144 +189,173 @@ def no_grad():
         _grad_enabled = prev
 
 
+def _sink(t: Tensor):
+    """The node an op's backward adds t's gradient into, or None if t does
+    not require grad."""
+    return t._grad_node() if t.requires_grad else None
+
+
+def _recording(*sinks) -> bool:
+    """Whether an op on inputs with these sinks is recorded."""
+    return _grad_enabled and any(n is not None for n in sinks)
+
+
 def _make(data, parents, backward):
+    """The output of an op whose inputs have sinks `parents`; recorded,
+    with the parents that are not None, if `_recording(*parents)`.  A
+    one-input op's closure may then take its parent's node as given."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _recording(*parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._node = _Node(data, tuple(p for p in parents if p is not None), backward)
     return out
 
 
+# Each closure below reads only what it captured at forward time: names
+# bound before `def backward`, never an input Tensor.
+
+
 def add(a, b):
+    """a + b, broadcast; backward keeps the two shapes."""
     a = a if isinstance(a, Tensor) else Tensor(np.asarray(a))
     b = _wrap(b, a)
+    na, nb, a_shape, b_shape = _sink(a), _sink(b), a.shape, b.shape
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+        if na is not None:
+            na._accumulate(_unbroadcast(g, a_shape))
+        if nb is not None:
+            nb._accumulate(_unbroadcast(g, b_shape))
 
-    return _make(a.data + b.data, (a, b), backward)
+    return _make(a.data + b.data, (na, nb), backward)
 
 
 def mul(a, b):
+    """a * b, broadcast; backward keeps both operands."""
     a = a if isinstance(a, Tensor) else Tensor(np.asarray(a))
     b = _wrap(b, a)
+    na, nb, ad, bd = _sink(a), _sink(b), a.data, b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+        if na is not None:
+            na._accumulate(_unbroadcast(g * bd, ad.shape))
+        if nb is not None:
+            nb._accumulate(_unbroadcast(g * ad, bd.shape))
 
-    return _make(a.data * b.data, (a, b), backward)
+    return _make(ad * bd, (na, nb), backward)
 
 
 def div(a, b):
+    """a / b, broadcast; backward keeps both operands."""
     a = a if isinstance(a, Tensor) else Tensor(np.asarray(a))
     b = _wrap(b, a)
+    na, nb, ad, bd = _sink(a), _sink(b), a.data, b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if na is not None:
+            na._accumulate(_unbroadcast(g / bd, ad.shape))
+        if nb is not None:
+            nb._accumulate(_unbroadcast(-g * ad / (bd * bd), bd.shape))
 
-    return _make(a.data / b.data, (a, b), backward)
+    return _make(ad / bd, (na, nb), backward)
 
 
 def matmul(a: Tensor, b: Tensor):
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+    """a @ b for 2-D a; backward keeps both operands."""
+    na, nb, ad, bd = _sink(a), _sink(b), a.data, b.data
 
-    x = a.data
-    if x.ndim == 2 and x.shape[0] == 1:
+    def backward(g):
+        if na is not None:
+            na._accumulate(g @ bd.T)
+        if nb is not None:
+            nb._accumulate(ad.T @ g)
+
+    if ad.ndim == 2 and ad.shape[0] == 1:
         # numpy hands a one-row product to BLAS gemv, which rounds
         # differently from the gemm of every larger batch; a two-row gemm
         # keeps a row's result independent of how many rows share the call.
-        out = (np.concatenate([x, x]) @ b.data)[:1]
+        out = (np.concatenate([ad, ad]) @ bd)[:1]
     else:
-        out = x @ b.data
-    return _make(out, (a, b), backward)
+        out = ad @ bd
+    return _make(out, (na, nb), backward)
 
 
 def transpose(a: Tensor):
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.T)
+    na = _sink(a)
 
-    return _make(a.data.T, (a,), backward)
+    def backward(g):
+        na._accumulate(g.T)
+
+    return _make(a.data.T, (na,), backward)
 
 
 def reshape(a: Tensor, shape):
-    old = a.shape
+    na, old = _sink(a), a.shape
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(old))
+        na._accumulate(g.reshape(old))
 
-    return _make(a.data.reshape(shape), (a,), backward)
+    return _make(a.data.reshape(shape), (na,), backward)
 
 
 def relu(a: Tensor):
     """max(a, 0) elementwise: NaN stays NaN, -inf gives 0, and -0.0 gives
-    +0.0.  The gradient mask is built only while the op is recorded."""
+    +0.0.  Backward keeps a bool mask, built only while the op is
+    recorded."""
     out = np.maximum(a.data, 0)
-    if not (_grad_enabled and a.requires_grad):
-        return _make(out, (a,), None)
+    na = _sink(a)
+    if not _recording(na):
+        return Tensor(out)
     mask = a.data > 0
 
     def backward(g):
-        a._accumulate(g * mask, owned=True)
+        na._accumulate(g * mask, owned=True)
 
-    return _make(out, (a,), backward)
+    return _make(out, (na,), backward)
 
 
 def exp(a: Tensor):
-    out_data = np.exp(a.data)
+    """Backward keeps the output."""
+    na, out = _sink(a), np.exp(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data)
+        na._accumulate(g * out)
 
-    return _make(out_data, (a,), backward)
+    return _make(out, (na,), backward)
 
 
 def log(a: Tensor):
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
+    """Backward keeps the input."""
+    na, ad = _sink(a), a.data
 
-    return _make(np.log(a.data), (a,), backward)
+    def backward(g):
+        na._accumulate(g / ad)
+
+    return _make(np.log(ad), (na,), backward)
 
 
 def sqrt(a: Tensor):
-    out_data = np.sqrt(a.data)
+    """Backward keeps the output."""
+    na, out = _sink(a), np.sqrt(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * 0.5 / out_data)
+        na._accumulate(g * 0.5 / out)
 
-    return _make(out_data, (a,), backward)
+    return _make(out, (na,), backward)
 
 
 def tsum(a: Tensor, axis=None, keepdims=False):
+    na, shape, dtype = _sink(a), a.shape, a.dtype
+
     def backward(g):
-        if not a.requires_grad:
-            return
         if axis is None:
-            a._accumulate(np.broadcast_to(g, a.shape).copy() if np.ndim(g) == 0
-                          else np.full(a.shape, g.reshape(())[()], dtype=a.dtype))
+            na._accumulate(np.broadcast_to(g, shape).copy() if np.ndim(g) == 0
+                           else np.full(shape, g.reshape(())[()], dtype=dtype))
         else:
             gg = g if keepdims else np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(gg, a.shape).astype(a.dtype, copy=True))
+            na._accumulate(np.broadcast_to(gg, shape).astype(dtype, copy=True))
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (na,), backward)
 
 
 def tmean(a: Tensor, axis=None, keepdims=False):
@@ -263,43 +364,43 @@ def tmean(a: Tensor, axis=None, keepdims=False):
 
 
 def maximum_const(a: Tensor, c: float):
-    """Elementwise max(a, c); gradient passes where a >= c."""
-    mask = a.data >= c
+    """Elementwise max(a, c); gradient passes where a >= c.  Backward keeps
+    that mask."""
+    na, mask = _sink(a), a.data >= c
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * mask)
+        na._accumulate(g * mask)
 
-    return _make(np.maximum(a.data, c), (a,), backward)
+    return _make(np.maximum(a.data, c), (na,), backward)
 
 
 def logsumexp(a: Tensor, axis: int):
-    """Numerically stable log(sum(exp(a))) along `axis` (dropped in output)."""
+    """Numerically stable log(sum(exp(a))) along `axis` (dropped in output).
+    Backward keeps the softmax."""
     m = a.data.max(axis=axis, keepdims=True)
     shifted = np.exp(a.data - m)
     total = shifted.sum(axis=axis, keepdims=True)
     out_data = (m + np.log(total)).squeeze(axis)
-    softmax = shifted / total
+    na, softmax = _sink(a), shifted / total
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.expand_dims(g, axis) * softmax)
+        na._accumulate(np.expand_dims(g, axis) * softmax)
 
-    return _make(out_data, (a,), backward)
+    return _make(out_data, (na,), backward)
 
 
 def gather_rows(a: Tensor, idx: np.ndarray):
     """out[i] = a[i, idx[i]] for a 2-D tensor."""
     idx = np.asarray(idx)
     rows = np.arange(a.shape[0])
+    na, shape, dtype = _sink(a), a.shape, a.dtype
 
     def backward(g):
-        if a.requires_grad:
-            da = np.zeros_like(a.data)
-            np.add.at(da, (rows, idx), g)
-            a._accumulate(da)
+        da = np.zeros(shape, dtype)
+        np.add.at(da, (rows, idx), g)
+        na._accumulate(da)
 
-    return _make(a.data[rows, idx], (a,), backward)
+    return _make(a.data[rows, idx], (na,), backward)
 
 
 def _im2col_slabs(h, wd, kh, kw):
@@ -361,13 +462,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor):
     a whole-batch im2col, and dw adds the per-sample products in sample
     order as `.sum(axis=0)` would, so blocking changes no bit.
 
-    A recorded graph holds every op's output until backward.  Beyond that,
-    conv2d keeps its input and weights, not the columns (kh*kw times the
-    input): backward rebuilds them block by block from `x.data` with the
-    same fill.  In an encoder stage relu then keeps a bool mask and
-    avg_pool2d only its input's shape.  Like `mul` and `div`, backward reads
-    `x.data` again, so an in-place edit of the input between forward and
-    backward changes the gradient.
+    Backward keeps `x.data` and `w.data`, captured at forward time, not the
+    columns (kh*kw times the input) and not the output: it rebuilds the
+    columns block by block from the captured input with the same fill.  In
+    an encoder stage relu then keeps a bool mask and avg_pool2d only its
+    input's shape, so a recorded stage holds its input and that mask.  An
+    in-place edit of the input between forward and backward changes the
+    gradient; rebinding `x.data` does not.
     """
     n, c, h, wd = x.shape
     f, c2, kh, kw = w.shape
@@ -376,37 +477,39 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor):
     hw = h * wd
     ckk = c * kh * kw
     slabs = _im2col_slabs(h, wd, kh, kw)
+    xd, w_shape = x.data, w.shape
+    nx, nw, nb = _sink(x), _sink(w), _sink(b)
     w2 = w.data.reshape(f, ckk)
-    block = max(1, min(n, _COL_BLOCK_BYTES // (ckk * hw * x.data.itemsize)))
+    block = max(1, min(n, _COL_BLOCK_BYTES // (ckk * hw * xd.itemsize)))
     starts = range(0, n, block)
-    buf = np.empty((block, ckk, hw), dtype=x.dtype)
-    out = np.empty((n, f, hw), dtype=np.result_type(w2, x.data))
+    buf = np.empty((block, ckk, hw), dtype=xd.dtype)
+    out = np.empty((n, f, hw), dtype=np.result_type(w2, xd))
     for lo in starts:
-        xb = x.data[lo:lo + block]
+        xb = xd[lo:lo + block]
         np.matmul(w2, _im2col(xb, slabs, kh, kw, buf[:len(xb)]), out=out[lo:lo + block])
     out = out.reshape(n, f, h, wd)
     out += b.data[None, :, None, None]
 
     def backward(g):
         gl = g.reshape(n, f, hw)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
-        buf = np.empty((block, ckk, hw), dtype=x.dtype)
-        if w.requires_grad:
+        if nb is not None:
+            nb._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
+        buf = np.empty((block, ckk, hw), dtype=xd.dtype)
+        if nw is not None:
             # each sample's product added in sample order, as .sum(axis=0)
             # adds them; starting from +0 can only change a zero's sign,
             # which _accumulate's + 0 clears anyway
-            dw = np.zeros((f, ckk), dtype=np.result_type(g, x.data))
-        if x.requires_grad:
-            dx = np.zeros((n, c, hw), dtype=x.dtype)
+            dw = np.zeros((f, ckk), dtype=np.result_type(g, xd))
+        if nx is not None:
+            dx = np.zeros((n, c, hw), dtype=xd.dtype)
         for lo in starts:
-            xb, gb = x.data[lo:lo + block], gl[lo:lo + block]
+            xb, gb = xd[lo:lo + block], gl[lo:lo + block]
             cols = buf[:len(xb)]
-            if w.requires_grad:
+            if nw is not None:
                 prods = np.matmul(gb, _im2col(xb, slabs, kh, kw, cols).transpose(0, 2, 1))
                 for p in prods:
                     dw += p
-            if x.requires_grad:
+            if nx is not None:
                 # col2im: add each slab back at its shift, in the same (i, j)
                 # order as a padded scatter.  Wrapped cells are zeroed first;
                 # their +0 is exact, since a sum that starts at +0 is never -0.
@@ -417,16 +520,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor):
                 for i, j, s, slo, shi, wrap in slabs:
                     dcols6[:, :, i, j, :, wrap] = 0
                     dxb[..., slo + s:shi + s] += dcols[:, :, i, j, slo:shi]
-        if w.requires_grad:
-            w._accumulate(dw.reshape(w.shape), owned=True)
-        if x.requires_grad:
-            x._accumulate(dx.reshape(x.shape), owned=True)
+        if nw is not None:
+            nw._accumulate(dw.reshape(w_shape), owned=True)
+        if nx is not None:
+            nx._accumulate(dx.reshape(n, c, h, wd), owned=True)
 
-    return _make(out, (x, w, b), backward)
+    return _make(out, (nx, nw, nb), backward)
 
 
 def avg_pool2d(x: Tensor):
-    """2x2 mean pooling of a float tensor; spatial dims must be even."""
+    """2x2 mean pooling of a float tensor; spatial dims must be even.
+    Backward keeps the input's shape only."""
     h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ContractError(f"avg_pool2d needs even spatial dims, got {h}x{w}")
@@ -438,30 +542,30 @@ def avg_pool2d(x: Tensor):
     pairs = d[..., 0::2] + d[..., 1::2]
     out = pairs[:, :, 0::2] + pairs[:, :, 1::2]
     out *= 0.25
+    nx, shape = _sink(x), x.shape
 
     def backward(g):
-        if x.requires_grad:
-            q = g * 0.25
-            up = np.empty(x.shape, dtype=q.dtype)
-            up[:, :, 0::2, 0::2] = q
-            up[:, :, 0::2, 1::2] = q
-            up[:, :, 1::2, 0::2] = q
-            up[:, :, 1::2, 1::2] = q
-            x._accumulate(up, owned=True)
+        q = g * 0.25
+        up = np.empty(shape, dtype=q.dtype)
+        up[:, :, 0::2, 0::2] = q
+        up[:, :, 0::2, 1::2] = q
+        up[:, :, 1::2, 0::2] = q
+        up[:, :, 1::2, 1::2] = q
+        nx._accumulate(up, owned=True)
 
-    return _make(out, (x,), backward)
+    return _make(out, (nx,), backward)
 
 
 def spatial_mean(x: Tensor):
     """Global average pool: [N, C, H, W] -> [N, C]."""
     n, c, h, w = x.shape
     scale = 1.0 / (h * w)
+    nx, shape, dtype = _sink(x), x.shape, x.dtype
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(np.broadcast_to(g[:, :, None, None] * scale, x.shape).astype(x.dtype, copy=True))
+        nx._accumulate(np.broadcast_to(g[:, :, None, None] * scale, shape).astype(dtype, copy=True))
 
-    return _make(x.data.mean(axis=(2, 3)), (x,), backward)
+    return _make(x.data.mean(axis=(2, 3)), (nx,), backward)
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:

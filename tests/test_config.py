@@ -197,6 +197,11 @@ MALFORMED = [
     (("finetune", "head_hidden"), 0, "finetune.head_hidden"),
     (("pretrain", "max_epochs"), 0, "pretrain.max_epochs"),
     (("pretrain", "patience"), 0, "pretrain.patience"),
+    (("dataset", "scenarios", 0, "n_ue"), 0, "dataset.scenarios[0]: n_ue"),
+    (("dataset", "geometry", "rx_geometry", "rows"), 0,
+     "dataset.geometry.rx_geometry: array needs rows"),
+    (("pretrain", "holdout_fraction"), 1.5, "pretrain: holdout_fraction"),
+    (("pretrain", "tau_min"), 0, "pretrain: need tau_init >= tau_min"),
 ]
 MALFORMED_IDS = [".".join(map(str, where)) + f"={value!r}" for where, value, _ in MALFORMED]
 

@@ -2,6 +2,8 @@
 central finite-difference oracle in float64; forward values are checked
 against plain numpy."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -554,20 +556,26 @@ def test_conv2d_gradient_check_kernel5_width2():
 
 
 def _graph(root):
-    """Every tensor reachable from `root` through parents."""
-    seen, stack = {}, [root]
+    """Every node reachable from `root`'s node through parents."""
+    seen, stack = {}, [root._node]
     while stack:
-        t = stack.pop()
-        if id(t) not in seen:
-            seen[id(t)] = t
-            stack.extend(t._parents)
+        n = stack.pop()
+        if id(n) not in seen:
+            seen[id(n)] = n
+            stack.extend(n.parents)
     return list(seen.values())
+
+
+def _saved(node):
+    """The arrays `node`'s backward closure captured at forward time."""
+    cells = node.backward.__closure__ if node.backward is not None else ()
+    return [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
 
 
 def _accumulate_oracle(self, g, owned=False):
     """Gradient accumulation as zeros + g, then += for every later term."""
     if self.grad is None:
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros(self.shape, self.dtype)
     self.grad += g
 
 
@@ -583,7 +591,7 @@ def test_reused_input_gets_oracle_gradient(build, monkeypatch):
     a, b = rng.normal(size=x.shape), rng.normal(size=x.shape)
     got = Tensor(x, requires_grad=True)
     build(got, a, b).backward()
-    monkeypatch.setattr(Tensor, "_accumulate", _accumulate_oracle)
+    monkeypatch.setattr(T._Node, "_accumulate", _accumulate_oracle)
     want = Tensor(x, requires_grad=True)
     build(want, a, b).backward()
     assert _same_bytes(got.grad, want.grad)
@@ -616,17 +624,21 @@ def _encoder_graph():
 
 
 def test_backward_leaves_no_shared_buffers():
-    loss, _ = _encoder_graph()
+    loss, enc = _encoder_graph()
     nodes = _graph(loss)
-    data_before = [n.data.copy() for n in nodes]
+    # every array the graph can reach: what the closures saved, the
+    # parameters and the loss
+    kept = [a for n in nodes for a in _saved(n)] + [p.data for p in enc.params.values()]
+    kept.append(loss.data)
+    kept_before = [a.copy() for a in kept]
     loss.backward()
     grads_after = [None if n.grad is None else n.grad.copy() for n in nodes]
-    for n, before in zip(nodes, data_before):
-        assert _same_bytes(n.data, before)
-    arrays = [n.data for n in nodes] + [n.grad for n in nodes]
+    for a, before in zip(kept, kept_before):
+        assert _same_bytes(a, before)
+    grads = [n.grad for n in nodes]
     for i, n in enumerate(nodes):
         if n.grad is not None:
-            others = arrays[:len(nodes) + i] + arrays[len(nodes) + i + 1:]
+            others = kept + grads[:i] + grads[i + 1:]
             assert not any(a is not None and np.shares_memory(n.grad, a) for a in others)
     # a second backward through the same closures adds, and touches only .grad
     for n in nodes:
@@ -636,6 +648,47 @@ def test_backward_leaves_no_shared_buffers():
         assert (n.grad is None) == (want is None)
         if want is not None:
             assert _same_bytes(n.grad, want)
+
+
+def test_recorded_graph_frees_dropped_outputs(monkeypatch):
+    # conv2d -> relu -> avg_pool2d with both outputs dropped: backward reads
+    # the conv input and weights and the relu mask, so while the loss graph
+    # lives neither output's array does, and the gradients still equal the
+    # padded oracle's bit for bit
+    rng = np.random.default_rng(23)
+    x = _signed_zeros(rng.normal(size=(3, 2, 8, 16)), rng)
+    w, b = rng.normal(size=(4, 2, 3, 3)), rng.normal(size=4)
+    c = rng.normal(size=(3, 4, 4, 8))
+    xt, wt, bt = Tensor(x, requires_grad=True), Tensor(w, True), Tensor(b, True)
+    y = T.conv2d(xt, wt, bt)
+    r = T.relu(y)
+    refs = [weakref.ref(a) for a in (y.data, y.data.base, r.data)]
+    del y
+    loss = T.tsum(T.mul(T.avg_pool2d(r), c))
+    del r
+    assert all(ref() is None for ref in refs)
+    loss.backward()
+    out = _conv2d_oracle(x, w, b, np.zeros((3, 4, 8, 16)))[0]
+    up = np.repeat(np.repeat(c * 0.25, 2, axis=2), 2, axis=3)
+    g = up * (out > 0) + 0.0
+    _, want_dx, want_dw, want_db = _conv2d_oracle(x, w, b, g)
+    assert _same_bytes(xt.grad, want_dx)
+    assert _same_bytes(wt.grad, want_dw)
+    assert _same_bytes(bt.grad, want_db)
+
+    # an Encoder forward drops every conv and relu output the same way
+    enc = Encoder.init(EncoderConfig(in_height=8, in_width=16, widths=(4, 6), embed_dim=5),
+                       np.random.default_rng(24))
+    outs = []
+    for op in ("conv2d", "relu"):
+        def spy(*args, op=getattr(T, op)):
+            out = op(*args)
+            outs.append(weakref.ref(out.data))
+            return out
+        monkeypatch.setattr(T, op, spy)
+    z = enc.forward(Tensor(rng.normal(size=(3, 2, 8, 16)).astype(np.float32)))
+    assert z.requires_grad and len(outs) == 4
+    assert all(ref() is None for ref in outs)
 
 
 def test_second_backward_accumulates_exactly_twice():
@@ -655,30 +708,30 @@ def _backward_keeping_grads(self):
     def visit(node):
         if id(node) not in seen:
             seen.add(id(node))
-            for p in node._parents:
+            for p in node.parents:
                 visit(p)
             topo.append(node)
 
-    visit(self)
+    visit(self._node)
     self.grad = np.ones_like(self.data)
     for node in reversed(topo):
-        if node._backward is not None:
-            node._backward(node.grad)
+        if node.backward is not None:
+            node.backward(node.grad)
 
 
 def test_backward_releases_consumed_grads_only(monkeypatch):
     loss, enc = _encoder_graph()
     nodes = _graph(loss)
     loss.backward()
-    assert all(n.grad is None for n in nodes if n._backward is not None)
-    got = [n.grad for n in nodes if n._backward is None]
+    assert all(n.grad is None for n in nodes if n.backward is not None)
+    got = [n.grad for n in nodes if n.backward is None]
     assert sum(g is not None for g in got) == len(enc.params)
     monkeypatch.setattr(Tensor, "backward", _backward_keeping_grads)
     loss, _ = _encoder_graph()
     nodes = _graph(loss)
     loss.backward()
-    assert all(n.grad is not None for n in nodes if n._backward is not None)
-    want = [n.grad for n in nodes if n._backward is None]
+    assert all(n.grad is not None for n in nodes if n.backward is not None)
+    want = [n.grad for n in nodes if n.backward is None]
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert (g is None) == (w is None)
@@ -690,7 +743,7 @@ def test_backward_releases_consumed_grads_only(monkeypatch):
 def test_accumulate_maps_negative_zero_like_zeros_plus_g(owned):
     g = np.array([[-0.0, 0.0, -1.5], [np.inf, -np.inf, np.nan]], dtype=np.float32)
     t = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
-    t._accumulate(g.copy(), owned=owned)
+    t._grad_node()._accumulate(g.copy(), owned=owned)
     want = np.zeros_like(t.data) + g
     assert _same_bytes(t.grad, want)
     assert not np.signbit(t.grad[0, 0])
@@ -699,10 +752,10 @@ def test_accumulate_maps_negative_zero_like_zeros_plus_g(owned):
 def test_accumulate_casts_to_the_parameter_dtype():
     g = np.array([-0.0, 1.0 / 3.0, -2.5], dtype=np.float32)
     t = Tensor(np.ones(3, dtype=np.float64), requires_grad=True)
-    t._accumulate(g, owned=True)
+    t._grad_node()._accumulate(g, owned=True)
     assert _same_bytes(t.grad, np.zeros(3) + g)
     assert not np.shares_memory(t.grad, g)
-    t._accumulate(g, owned=True)
+    t._grad_node()._accumulate(g, owned=True)
     want = np.zeros(3) + g
     want += g
     assert _same_bytes(t.grad, want)
@@ -712,6 +765,6 @@ def test_accumulate_copies_a_buffer_laid_out_unlike_data():
     data = np.ones((3, 4)).T                      # Fortran-ordered parameter
     t = Tensor(data, requires_grad=True)
     g = np.arange(12.0).reshape(4, 3)
-    t._accumulate(g, owned=True)
+    t._grad_node()._accumulate(g, owned=True)
     assert not np.shares_memory(t.grad, g)
     assert t.grad.flags.f_contiguous and np.array_equal(t.grad, g)

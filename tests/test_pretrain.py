@@ -172,21 +172,23 @@ def test_epoch_holds_one_step_at_a_time(mini_dataset, traced_peak):
 
 def stage_activation_bytes(widths, shape):
     """Bytes a recorded encoder forward of a float32 input of `shape`
-    [N, C, H, W] keeps per stage: conv output, relu output, relu mask (bool)
-    and pool output."""
+    [N, C, H, W] keeps per stage: the relu mask (bool) and, but for the last
+    stage, the pool output, which the next conv keeps as its input.  No conv
+    or relu output is kept, and the first conv's input is the caller's."""
     n, _, h, w = shape
     total = 0
-    for f in widths:
+    for i, f in enumerate(widths):
         cells = n * f * h * w
-        total += 4 * cells + 4 * cells + cells + 4 * (cells // 4)
+        total += cells + (4 * (cells // 4) if i < len(widths) - 1 else 0)
         h, w = h // 2, w // 2
     return total
 
 
 def test_recorded_forward_keeps_only_stage_activations():
-    # desk architecture, both towers, batch 64, no backward yet: im2col
-    # columns kept for backward would add 9.4, 9.4 and 4.7 MB on the CSI
-    # tower and half that on the CIR tower
+    # desk architecture, both towers, batch 64, no backward yet: 5.7 MiB
+    # live.  Keeping every conv and relu output, as a graph of output
+    # tensors did, held 33.9 MiB; im2col columns kept for backward would add
+    # 9.4, 9.4 and 4.7 MB on the CSI tower and half that on the CIR tower
     cfg = pretrain_config(load_config("desk"))
     state = make_state(cfg)
     rng = np.random.default_rng(0)
@@ -201,38 +203,41 @@ def test_recorded_forward_keeps_only_stage_activations():
     assert all(t.requires_grad for t in z)
     kept = (stage_activation_bytes(cfg.widths, x_csi.shape)
             + stage_activation_bytes(cfg.widths, x_cir.shape))
-    slack = 2**20   # embeddings, pooled features, tensor objects and closures
+    slack = 2**19   # embeddings, tensor objects, nodes and closures
     assert live <= kept + slack, (live, kept)
 
 
 def test_desk_step_peak(traced_peak):
-    # desk preset, one step at batch 64: conv2d builds im2col columns one
-    # block of samples (at most 1 MiB) at a time.  The step peaks at
-    # 43.6 MiB; whole-batch columns (9.4 MB at stage 1, built in forward,
-    # rebuilt in backward and again as col2im's dcols) made it 48.6 MiB
+    # desk preset, one step at batch 64: the graph keeps relu masks and conv
+    # inputs, and conv2d builds im2col columns one block of samples (at most
+    # 1 MiB) at a time.  The step peaks at 15.4 MiB.  Keeping every conv and
+    # relu output made it 43.6 MiB; whole-batch columns on top of that (9.4 MB
+    # at stage 1, built in forward, rebuilt in backward and again as col2im's
+    # dcols) 48.6 MiB
     cfg = dataclasses.replace(pretrain_config(load_config("desk")), batch_size=64)
     state = make_state(cfg)
     rng = np.random.default_rng(0)
     pairs = P.PairArrays(rng.standard_normal((64, 2, 32, 64)).astype(np.float32),
                          rng.standard_normal((64, 2, 32, 32)).astype(np.float32))
     peak = traced_peak(lambda: P.pretrain_epoch(state, pairs))
-    assert peak <= 45 * 2**20, peak / 2**20
+    assert peak <= 18 * 2**20, peak / 2**20
 
 
 def test_paper_step_peak(traced_peak):
     # paper geometry (256 antenna pairs, 256 subcarriers, 64 taps), one step
-    # at batch 8: the graph holds 200 MiB of stage activations, and conv2d
+    # at batch 8: the graph keeps relu masks and conv inputs, and conv2d
     # builds im2col columns one block of samples at a time (one sample's,
-    # 9 MiB at most).  The step peaks at 269 MiB; whole-batch columns
-    # (72 MiB at stage 2) made it 301 MiB, and keeping every stage's
-    # columns until backward 481 MiB
+    # 9 MiB at most).  The step peaks at 104 MiB.  Keeping every conv and
+    # relu output (200 MiB of stage activations) made it 269 MiB,
+    # whole-batch columns on top (72 MiB at stage 2) 301 MiB, and keeping
+    # every stage's columns until backward 481 MiB
     cfg = dataclasses.replace(pretrain_config(load_config("paper")), batch_size=8)
     state = make_state(cfg, 256, 256)
     rng = np.random.default_rng(0)
     pairs = P.PairArrays(rng.standard_normal((8, 2, 256, 256)).astype(np.float32),
                          rng.standard_normal((8, 2, 256, 64)).astype(np.float32))
     peak = traced_peak(lambda: P.pretrain_epoch(state, pairs))
-    assert peak <= 280 * 2**20, peak / 2**20
+    assert peak <= 115 * 2**20, peak / 2**20
 
 
 def test_training_reduces_loss(mini_dataset):
