@@ -15,7 +15,9 @@ Every scenario of a dataset is generated on its one `Layout` (arrays, grid,
 bandwidth); a `ScenarioConfig` holds the propagation environment only.
 """
 
-from dataclasses import dataclass, field, replace
+import logging
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +27,8 @@ from .rngstream import stream
 SPEED_OF_LIGHT = 299_792_458.0
 
 MAX_PATHS = 20
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -142,24 +146,49 @@ def build_codebook(geom: ArrayGeometry) -> Codebook:
     return Codebook(vectors=vectors)
 
 
+def occupied_cirs(samples):
+    """Yield each sample's delay-domain channel at its occupied taps:
+    complex128 [n_rx, n_tx, n_occupied], column i holding the i-th of its
+    distinct delay taps, ascending (occupied_taps).
+
+    `samples` gives, per sample, (paths, a_rx, a_tx): its paths in stored
+    order and their arrival [k, n_rx] and departure [k, n_tx] steering
+    rows.  Path k adds
+        gain * a_rx[k] a_tx[k]^T
+    to its tap, one path at a time in stored order: these are the bytes a
+    dataset stores.  Only one sample's path terms exist at a time.
+    """
+    for paths, a_rx, a_tx in samples:
+        taps = [p.delay_tap for p in paths]
+        slot = {tap: i for i, tap in enumerate(sorted(set(taps)))}
+        gains = np.array([p.gain for p in paths], dtype=np.complex128)
+        terms = gains[:, None, None] * (a_rx[:, :, None] * a_tx[:, None, :])
+        # Tap-major, as indexing a full CIR at its taps lays the result out,
+        # so a beam sweep of either sees the same strides.
+        h = np.zeros((len(slot), a_rx.shape[1], a_tx.shape[1]), dtype=np.complex128)
+        for term, tap in zip(terms, taps):
+            h[slot[tap]] += term
+        yield h.transpose(1, 2, 0)
+
+
 def synthesize_cir(sample: ChannelSample, tx: ArrayGeometry, rx: ArrayGeometry,
                    n_taps: int) -> np.ndarray:
-    """Delay-domain channel tensor [n_rx, n_tx, n_taps].
+    """Delay-domain channel tensor [n_rx, n_tx, n_taps]: the one-sample case
+    of occupied_cirs, zero at every tap that carries no path.
 
     h[:, :, t] = sum over paths with delay_tap == t of
                  gain * a_rx(aoa) a_tx(aod)^T
     so with unit-norm steering vectors the tensor energy equals the summed
-    |gain|^2 whenever the taps are distinct.  Paths are added one at a time
-    in their stored order: these are the bytes a dataset stores.
+    |gain|^2 whenever the taps are distinct.
     """
-    a_rx, a_tx = _path_steering(sample, tx, rx)
-    h = np.zeros((rx.n_elements, tx.n_elements, n_taps), dtype=np.complex128)
     for k, p in enumerate(sample.paths):
         if not 0 <= p.delay_tap < n_taps:
             raise GenerationError(
                 f"path {k} has delay_tap {p.delay_tap} outside the grid [0, {n_taps})"
             )
-        h[:, :, p.delay_tap] += p.gain * np.outer(a_rx[k], a_tx[k])
+    a_rx, a_tx = _path_steering(sample, tx, rx)
+    h = np.zeros((rx.n_elements, tx.n_elements, n_taps), dtype=np.complex128)
+    h[:, :, occupied_taps(sample)] = next(occupied_cirs([(sample.paths, a_rx, a_tx)]))
     return h
 
 
@@ -261,36 +290,12 @@ class ScenarioConfig:
             )
 
 
-def _f32(x: float) -> float:
-    # Quantize to float32 so path params survive the 32-bit record layout exactly.
-    return float(np.float32(x))
-
-
-def _angles(src: np.ndarray, dst: np.ndarray):
-    """(azimuth, elevation) of the direction src -> dst."""
-    v = dst - src
-    az = float(np.arctan2(v[1], v[0]))
-    el = float(np.arctan2(v[2], np.hypot(v[0], v[1])))
-    return az, el
-
-
-def _make_path(gain: complex, tap: int, bs, ue, via, is_los: bool) -> PathParams:
-    """Path departing the BS toward `via` and arriving at the UE from `via`.
-    For the direct path `via` is not used: departure aims at the UE and
-    arrival points back at the BS."""
-    if is_los:
-        aod_az, aod_el = _angles(bs, ue)
-        aoa_az, aoa_el = _angles(ue, bs)
-    else:
-        aod_az, aod_el = _angles(bs, via)
-        aoa_az, aoa_el = _angles(ue, via)
-    return PathParams(
-        gain=complex(_f32(gain.real), _f32(gain.imag)),
-        delay_tap=int(tap),
-        aod_az=_f32(aod_az), aod_el=_f32(aod_el),
-        aoa_az=_f32(aoa_az), aoa_el=_f32(aoa_el),
-        is_los=is_los,
-    )
+def _angles(v: np.ndarray) -> np.ndarray:
+    """Float32-exact (azimuth, elevation) of each direction v[i], shape [2, len(v)]."""
+    az = np.arctan2(v[:, 1], v[:, 0])
+    el = np.arctan2(v[:, 2], np.hypot(v[:, 0], v[:, 1]))
+    # Quantized to float32 so path params survive the 32-bit record layout exactly.
+    return np.stack([az, el]).astype(np.float32).astype(float)
 
 
 def scatterer_field(config: ScenarioConfig, seed: int) -> np.ndarray:
@@ -307,71 +312,6 @@ def scatterer_field(config: ScenarioConfig, seed: int) -> np.ndarray:
     return np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
 
 
-def _generate_sample(config: ScenarioConfig, layout: Layout, seed: int, index: int,
-                     scatterers: np.ndarray, codebook: Codebook) -> ChannelSample:
-    rng = stream(seed, "sample", config.scenario_id, index)
-    bs = np.asarray(config.bs_position, dtype=float)
-
-    r = np.sqrt(rng.uniform(config.min_distance ** 2, config.cell_radius ** 2))
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    ue = np.array([r * np.cos(theta), r * np.sin(theta), config.ue_height])
-
-    blocked = rng.uniform() < config.blockage_prob
-    n_target = int(rng.integers(config.path_count[0], config.path_count[1] + 1))
-
-    paths = []
-    los_tap = None
-    if not blocked:
-        d = float(np.linalg.norm(ue - bs))
-        los_tap = int(round(d / layout.tap_length_m))
-        if los_tap >= layout.n_taps:
-            raise GenerationError(
-                f"scenario {config.scenario_id} sample {index}: LoS delay tap {los_tap} "
-                f"exceeds the grid of {layout.n_taps} taps (distance {d:.1f} m)"
-            )
-        amp = config.ref_gain * d ** (-config.los_exponent / 2.0)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        paths.append(_make_path(amp * np.exp(1j * phase), los_tap, bs, ue, None, is_los=True))
-
-    # Single-bounce candidates, strongest (shortest) first.  Scatterers whose
-    # quantized delay collides with the LoS tap are skipped so the LoS path
-    # keeps strictly minimal delay; out-of-grid scatterers are skipped too.
-    lengths = np.linalg.norm(scatterers - bs, axis=1) + np.linalg.norm(scatterers - ue, axis=1)
-    order = np.argsort(lengths, kind="stable")
-    for j in order:
-        if len(paths) >= n_target:
-            break
-        tap = int(round(lengths[j] / layout.tap_length_m))
-        if tap >= layout.n_taps or (los_tap is not None and tap == los_tap):
-            continue
-        amp = config.ref_gain * lengths[j] ** (-config.nlos_exponent / 2.0)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        paths.append(_make_path(amp * np.exp(1j * phase), tap, bs, ue, scatterers[j],
-                                is_los=False))
-
-    if not paths:
-        raise GenerationError(
-            f"scenario {config.scenario_id} sample {index}: no representable paths "
-            f"within the {layout.n_taps}-tap grid"
-        )
-    paths.sort(key=lambda p: (p.delay_tap, not p.is_los))
-
-    sample = ChannelSample(
-        scenario_id=config.scenario_id,
-        ue_position=tuple(float(x) for x in ue),
-        paths=tuple(paths),
-        los_label=los_tap is not None,
-        beam_label=0,
-    )
-    # By Parseval a beam's power summed over the subcarriers is n_subcarriers
-    # times its power summed over the taps, so sweeping the taps that carry a
-    # path gives the same argmax as sweeping the CSI, at a fraction of the cost.
-    cir = synthesize_cir(sample, layout.tx_geometry, layout.rx_geometry, layout.n_taps)
-    occupied = cir[:, :, occupied_taps(sample)]
-    beam, tap_channels = optimal_beam(occupied, codebook), occupied.astype(np.complex64)
-    sample = replace(sample, beam_label=beam)
-    object.__setattr__(sample, "tap_channels", tap_channels)
-    return sample
 
 
 def generate_scenario(config: ScenarioConfig, layout: Layout, seed: int) -> list:
@@ -379,10 +319,114 @@ def generate_scenario(config: ScenarioConfig, layout: Layout, seed: int) -> list
 
     Pure function of (config, layout, seed): every sample draws from its own
     counter-based stream, so the output is independent of generation order.
+    Three passes over the scenario:
+      1. per sample, its stream's draws in order (position, blockage, path
+         count, the LoS phase, the NLoS phases) and its paths: the direct
+         path unless blocked, then the shortest single-bounce paths;
+      2. one steering_vectors call per array: arrival rows for every path,
+         departure rows for every scatterer and every direct path;
+      3. per sample, the CIR at its occupied taps from those rows
+         (occupied_cirs, whose one-sample case is synthesize_cir), its beam
+         label and its stored taps.
+    Its largest arrays are those steering rows, 16 bytes per row element
+    (about 5.5 MB together at 5,000 UEs on the paper layout); path outer
+    products exist for one sample at a time.
     """
-    codebook = build_codebook(layout.tx_geometry)
+    started = time.perf_counter()
+    bs = np.asarray(config.bs_position, dtype=float)
     scatterers = scatterer_field(config, seed)
-    return [
-        _generate_sample(config, layout, seed, i, scatterers, codebook)
-        for i in range(config.n_ue)
-    ]
+    n_scatterers = len(scatterers)
+    bs_lengths = np.linalg.norm(scatterers - bs, axis=1)
+    tap_length = layout.tap_length_m
+
+    ue_positions, los_labels = [], []
+    owner, via, taps, amps, phases = [], [], [], [], []   # one entry per path
+    for i in range(config.n_ue):
+        rng = stream(seed, "sample", config.scenario_id, i)
+        r = np.sqrt(rng.uniform(config.min_distance ** 2, config.cell_radius ** 2))
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        ue = np.array([r * np.cos(theta), r * np.sin(theta), config.ue_height])
+        blocked = rng.uniform() < config.blockage_prob
+        n_target = int(rng.integers(config.path_count[0], config.path_count[1] + 1))
+
+        los_tap = -1
+        if not blocked:
+            d = float(np.linalg.norm(ue - bs))
+            los_tap = int(round(d / tap_length))
+            if los_tap >= layout.n_taps:
+                raise GenerationError(
+                    f"scenario {config.scenario_id} sample {i}: LoS delay tap {los_tap} "
+                    f"exceeds the grid of {layout.n_taps} taps (distance {d:.1f} m)"
+                )
+            owner.append(i)
+            via.append(n_scatterers)
+            taps.append(los_tap)
+            amps.append(config.ref_gain * d ** (-config.los_exponent / 2.0))
+            phases.append(rng.uniform(0.0, 2.0 * np.pi))
+
+        # Single-bounce candidates, strongest (shortest) first.  Scatterers whose
+        # quantized delay collides with the LoS tap are skipped so the LoS path
+        # keeps strictly minimal delay; out-of-grid scatterers are skipped too.
+        lengths = bs_lengths + np.linalg.norm(scatterers - ue, axis=1)
+        order = np.argsort(lengths, kind="stable")
+        order_taps = np.rint(lengths[order] / tap_length)
+        fits = (order_taps < layout.n_taps) & (order_taps != los_tap)
+        n_nlos = n_target - (not blocked)
+        chosen = order[fits][:n_nlos]
+        if blocked and not chosen.size:
+            raise GenerationError(
+                f"scenario {config.scenario_id} sample {i}: no representable paths "
+                f"within the {layout.n_taps}-tap grid"
+            )
+        owner.extend([i] * chosen.size)
+        via.extend(chosen.tolist())
+        taps.extend(order_taps[fits][:n_nlos].astype(int).tolist())
+        # One scalar power per path: an array power may take a SIMD kernel
+        # that rounds otherwise.
+        amps.extend(config.ref_gain * lengths[j] ** (-config.nlos_exponent / 2.0)
+                    for j in chosen)
+        phases.extend(rng.uniform(0.0, 2.0 * np.pi, size=chosen.size).tolist())
+        ue_positions.append(ue)
+        los_labels.append(not blocked)
+
+    # Stored order: by tap within each sample, stable, a direct path ahead
+    # of a bounce on its tap.
+    owner, via, taps, amps, phases = map(np.asarray, (owner, via, taps, amps, phases))
+    stored = np.lexsort((via != n_scatterers, taps, owner))
+    owner, via, taps, amps, phases = (x[stored] for x in (owner, via, taps, amps, phases))
+    gains = amps * np.exp(1j * phases)
+    is_los = via == n_scatterers
+    ues = np.array(ue_positions)
+    # A direct path goes "via" the BS, listed after the scatterers, so it
+    # arrives from the BS.  Departures: one per scatterer, then one per
+    # direct path, toward its UE.
+    arrivals = _angles(np.vstack([scatterers, bs])[via] - ues[owner])
+    departures = _angles(np.vstack([scatterers, ues[owner[is_los]]]) - bs)
+    departs = np.where(is_los, n_scatterers + np.cumsum(is_los) - 1, via)
+    a_rx = steering_vectors(layout.rx_geometry, *arrivals)
+    a_tx = steering_vectors(layout.tx_geometry, *departures)
+
+    paths = [PathParams(*fields) for fields in zip(
+        gains.astype(np.complex64).astype(complex).tolist(), taps.tolist(),
+        *departures[:, departs].tolist(), *arrivals.tolist(), is_los.tolist())]
+    ends = np.cumsum(np.bincount(owner, minlength=config.n_ue)).tolist()
+    spans = list(zip([0] + ends, ends))
+    groups = [tuple(paths[start:end]) for start, end in spans]
+    rows = ((group, a_rx[start:end], a_tx[departs[start:end]])
+            for group, (start, end) in zip(groups, spans))
+
+    codebook = build_codebook(layout.tx_geometry)
+    samples = []
+    for group, ue, los, occupied in zip(groups, ues.tolist(), los_labels,
+                                        occupied_cirs(rows)):
+        # By Parseval a beam's power summed over the subcarriers is n_subcarriers
+        # times its power summed over the taps, so sweeping the taps that carry a
+        # path gives the same argmax as sweeping the CSI, at a fraction of the cost.
+        sample = ChannelSample(scenario_id=config.scenario_id, ue_position=tuple(ue),
+                               paths=group, los_label=los,
+                               beam_label=optimal_beam(occupied, codebook))
+        object.__setattr__(sample, "tap_channels", occupied.astype(np.complex64))
+        samples.append(sample)
+    log.info("scenario %d: %d samples in %.2f s", config.scenario_id, len(samples),
+             time.perf_counter() - started)
+    return samples

@@ -7,12 +7,12 @@
                       --labels 200 --seeds 5 --out runs/ft
     mimoclr report    runs/ft/*.json
 
-`mimoclr -v <command> ...` also logs progress (one line per pretrain and
-fine-tune epoch, early stops, dropped tail batches) to stderr.  Every
-command prints an effective-config echo; re-running with the echoed config
-and seed reproduces outputs bit-identically.  Exit codes: 0 success, 2
-configuration problems, 3 data problems, including a file that cannot be
-read or written, 4 training divergence.
+`mimoclr -v <command> ...` also logs progress (one line per generated
+scenario, pretrain and fine-tune epoch, early stops, dropped tail batches)
+to stderr.  Every command prints an effective-config echo; re-running with
+the echoed config and seed reproduces outputs bit-identically.  Exit codes:
+0 success, 2 configuration problems, 3 data problems, including a file that
+cannot be read or written, 4 training divergence.
 """
 
 import argparse

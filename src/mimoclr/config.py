@@ -107,6 +107,15 @@ class DatasetConfig:
         ids = [c.scenario_id for c in self.scenarios]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate scenario_id in {ids}")
+        for i, c in enumerate(self.scenarios):
+            # the farthest UE sits on the cell edge opposite the BS
+            far = math.hypot(c.cell_radius + math.hypot(*c.bs_position[:2]),
+                             c.bs_position[2] - c.ue_height)
+            if round(far / self.geometry.tap_length_m) >= self.geometry.n_taps:
+                raise ConfigError(
+                    f"dataset.scenarios[{i}].cell_radius {c.cell_radius}: a UE on the cell "
+                    f"edge is {far:.1f} m from the BS, beyond the {self.geometry.n_taps}-tap "
+                    f"grid of {self.geometry.tap_length_m:.2f} m taps")
         n_records = sum(c.n_ue for c in self.scenarios)   # one record per UE
         if math.floor(n_records * self.train_fraction) == 0:
             raise ConfigError(f"dataset.train_fraction {self.train_fraction} of "

@@ -2,6 +2,8 @@
 and scenario generation.  Expected values come from independent brute-force
 oracles implemented here, not from the library code under test."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from mimoclr.chanmodel import (MAX_PATHS, ArrayGeometry, ChannelSample, Codebook
                                generate_scenario, optimal_beam, scatterer_field, steering_vector,
                                steering_vectors, synthesize_cir, synthesize_csi)
 from mimoclr.errors import ConfigError, ContractError
+from mimoclr.rngstream import stream
 
 
 # ---------------------------------------------------------------- oracles
@@ -101,6 +104,62 @@ def einsum_label_oracle(sample, tx, rx, n_sc, cb):
         H += p.gain * np.outer(a_rx, a_tx)[:, :, None] * phase[None, None, :]
     proj = np.einsum("rtk,tb->rkb", H, cb.vectors)
     return int(np.argmax(np.sum(np.abs(proj) ** 2, axis=(0, 1))))
+
+
+def _f32(x):
+    return float(np.float32(x))
+
+
+def angles_oracle(src, dst):
+    """(azimuth, elevation) of the direction src -> dst, one scalar call each."""
+    v = dst - src
+    return (float(np.arctan2(v[1], v[0])),
+            float(np.arctan2(v[2], np.hypot(v[0], v[1]))))
+
+
+def path_oracle(gain, tap, bs, ue, via, is_los):
+    aod_az, aod_el = angles_oracle(bs, ue if is_los else via)
+    aoa_az, aoa_el = angles_oracle(ue, bs if is_los else via)
+    return PathParams(gain=complex(_f32(gain.real), _f32(gain.imag)), delay_tap=int(tap),
+                      aod_az=_f32(aod_az), aod_el=_f32(aod_el),
+                      aoa_az=_f32(aoa_az), aoa_el=_f32(aoa_el), is_los=is_los)
+
+
+def generate_sample_oracle(config, layout, seed, index, scatterers, codebook):
+    """One sample, one Python pipeline: its stream's draws, then path by
+    path, each scatterer tried in turn, the CIR of cir_per_path_oracle."""
+    rng = stream(seed, "sample", config.scenario_id, index)
+    bs = np.asarray(config.bs_position, dtype=float)
+    r = np.sqrt(rng.uniform(config.min_distance ** 2, config.cell_radius ** 2))
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    ue = np.array([r * np.cos(theta), r * np.sin(theta), config.ue_height])
+    blocked = rng.uniform() < config.blockage_prob
+    n_target = int(rng.integers(config.path_count[0], config.path_count[1] + 1))
+    paths, los_tap = [], None
+    if not blocked:
+        d = float(np.linalg.norm(ue - bs))
+        los_tap = int(round(d / layout.tap_length_m))
+        amp = config.ref_gain * d ** (-config.los_exponent / 2.0)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        paths.append(path_oracle(amp * np.exp(1j * phase), los_tap, bs, ue, None, True))
+    lengths = np.linalg.norm(scatterers - bs, axis=1) + np.linalg.norm(scatterers - ue, axis=1)
+    for j in np.argsort(lengths, kind="stable"):
+        if len(paths) >= n_target:
+            break
+        tap = int(round(lengths[j] / layout.tap_length_m))
+        if tap >= layout.n_taps or tap == los_tap:
+            continue
+        amp = config.ref_gain * lengths[j] ** (-config.nlos_exponent / 2.0)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        paths.append(path_oracle(amp * np.exp(1j * phase), tap, bs, ue, scatterers[j], False))
+    paths.sort(key=lambda p: (p.delay_tap, not p.is_los))
+    sample = ChannelSample(scenario_id=config.scenario_id,
+                           ue_position=tuple(float(x) for x in ue), paths=tuple(paths),
+                           los_label=los_tap is not None, beam_label=0)
+    cir = cir_per_path_oracle(sample, layout.tx_geometry, layout.rx_geometry, layout.n_taps)
+    occupied = cir[:, :, sorted({p.delay_tap for p in paths})]
+    sample = dataclasses.replace(sample, beam_label=optimal_beam(occupied, codebook))
+    return sample, occupied.astype(np.complex64)
 
 
 DESK = Layout(tx_geometry=ArrayGeometry(4, 4), rx_geometry=ArrayGeometry(2, 1),
@@ -404,6 +463,39 @@ def test_generated_samples_well_formed():
         r = np.hypot(s.ue_position[0], s.ue_position[1])
         assert cfg.min_distance <= r <= cfg.cell_radius
         assert s.ue_position[2] == cfg.ue_height
+
+
+GENERATION_CASES = {
+    "preset-like": {},
+    "never-blocked": {"blockage_prob": 0.0},
+    "always-blocked": {"blockage_prob": 1.0},
+    "one-path": {"path_count": (1, 1)},
+    "max-paths": {"path_count": (MAX_PATHS, MAX_PATHS)},
+    "los-only": {"scatterer_count": (0, 0), "blockage_prob": 0.0},
+    # a small cell crowded with scatterers: many paths share a tap
+    "dense": {"cell_radius": 60.0, "scatterer_count": (150, 200),
+              "path_count": (MAX_PATHS, MAX_PATHS)},
+}
+
+
+@pytest.mark.parametrize("geo", [DESK, PAPER], ids=["desk", "paper"])
+@pytest.mark.parametrize("case", list(GENERATION_CASES))
+def test_generate_scenario_equals_per_sample_oracle(geo, case):
+    cb = build_codebook(geo.tx_geometry)
+    shared = 0
+    for seed in (0, 4, 13):
+        cfg = ScenarioConfig(scenario_id=seed % 3, n_ue=30, **GENERATION_CASES[case])
+        scatterers = scatterer_field(cfg, seed)
+        for i, s in enumerate(generate_scenario(cfg, geo, seed)):
+            want, taps = generate_sample_oracle(cfg, geo, seed, i, scatterers, cb)
+            # repr spells every float exactly, so equal reprs are equal bits
+            assert repr(s) == repr(want)
+            assert s == want
+            assert s.tap_channels.tobytes() == taps.tobytes()
+            assert s.tap_channels.shape == taps.shape and s.tap_channels.dtype == np.complex64
+            shared += len(s.paths) - len({p.delay_tap for p in s.paths})
+    if case == "dense":
+        assert shared > 3 * 30 * MAX_PATHS // 2   # most paths share their tap
 
 
 def test_los_fraction_tracks_blockage():

@@ -72,6 +72,19 @@ def test_generate_outputs(work, capsys):
     assert a == b
 
 
+def test_verbose_generate_logs_each_scenario_as_it_finishes(work, tmp_path, capsys):
+    runs = {}
+    for flags in ([], ["-v"]):
+        out = tmp_path / ("v" if flags else "quiet")
+        assert main([*flags, "generate", "--config", work["config"], "--out", str(out)]) == 0
+        runs[bool(flags)] = (capsys.readouterr().err, (out / "samples.bin").read_bytes())
+    assert runs[False][0] == ""
+    logged = re.findall(r"^INFO mimoclr\.chanmodel: scenario (\d+): (\d+) samples in \d+\.\d\d s$",
+                        runs[True][0], re.MULTILINE)
+    assert logged == [("0", "40"), ("1", "40")]
+    assert runs[True][1] == runs[False][1]
+
+
 def test_generate_seed_override_changes_data(work, capsys):
     rc = main(["generate", "--config", work["config"], "--seed", "99",
                "--out", str(work["root"] / "data99")])

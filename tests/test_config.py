@@ -202,6 +202,8 @@ MALFORMED = [
      "dataset.geometry.rx_geometry: array needs rows"),
     (("pretrain", "holdout_fraction"), 1.5, "pretrain: holdout_fraction"),
     (("pretrain", "tau_min"), 0, "pretrain: need tau_init >= tau_min"),
+    # a UE on the edge of a 960 m cell is 960.3 m from the BS: delay tap 32
+    (("dataset", "scenarios", 0, "cell_radius"), 960.0, "dataset.scenarios[0].cell_radius"),
 ]
 MALFORMED_IDS = [".".join(map(str, where)) + f"={value!r}" for where, value, _ in MALFORMED]
 

@@ -139,15 +139,18 @@ def test_write_read_dataset_round_trip(tmp_path):
 
 
 def test_generate_and_write_synthesize_each_cir_once(tmp_path, monkeypatch):
+    # occupied_cirs is the one CIR builder: generation calls it for a whole
+    # scenario, synthesize_cir (the writer's) for one sample.  A sample is
+    # told by its paths, whose gains are drawn at random.
     calls = []
-    original = chanmodel.synthesize_cir
+    original = chanmodel.occupied_cirs
 
-    def counting(sample, *args):
-        calls.append((sample.scenario_id, sample.ue_position))
-        return original(sample, *args)
+    def counting(samples):
+        samples = list(samples)
+        calls.extend(paths for paths, _, _ in samples)
+        return original(samples)
 
-    monkeypatch.setattr(chanmodel, "synthesize_cir", counting)
-    monkeypatch.setattr(datapipe, "synthesize_cir", counting)
+    monkeypatch.setattr(chanmodel, "occupied_cirs", counting)
     scenarios = small_scenarios(n_ue=12)
     ds = datapipe.write_dataset(scenarios, str(tmp_path / "m.json"),
                                 str(tmp_path / "r.bin"), 5, 0.8, DESK)
@@ -160,6 +163,7 @@ def test_generate_and_write_synthesize_each_cir_once(tmp_path, monkeypatch):
     again = datapipe.write_dataset(decoded, str(tmp_path / "m2.json"),
                                    str(tmp_path / "r2.bin"), 5, 0.8, DESK)
     assert len(calls) == 48
+    assert calls[24:] == calls[:24]
     assert again.manifest["records_sha256"] == ds.manifest["records_sha256"]
 
 
