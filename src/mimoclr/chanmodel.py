@@ -28,6 +28,10 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 MAX_PATHS = 20
 
+# How many times generate_scenario draws a blocked UE's position again
+# before it gives up on finding a bounce path on the tap grid.
+UE_REDRAWS = 64
+
 log = logging.getLogger(__name__)
 
 
@@ -312,6 +316,11 @@ def scatterer_field(config: ScenarioConfig, seed: int) -> np.ndarray:
     return np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
 
 
+def _ue_position(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """A position drawn uniformly over the cell's annulus, at UE height."""
+    r = np.sqrt(rng.uniform(config.min_distance ** 2, config.cell_radius ** 2))
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    return np.array([r * np.cos(theta), r * np.sin(theta), config.ue_height])
 
 
 def generate_scenario(config: ScenarioConfig, layout: Layout, seed: int) -> list:
@@ -319,7 +328,12 @@ def generate_scenario(config: ScenarioConfig, layout: Layout, seed: int) -> list
 
     Pure function of (config, layout, seed): every sample draws from its own
     counter-based stream, so the output is independent of generation order.
-    Three passes over the scenario:
+    UE positions are uniform over the cell's positions that have a
+    representable path: a blocked UE whose every bounce path lies beyond
+    the tap grid draws its position again from the stream ("sample-redraw",
+    scenario, sample, k) for k = 0, 1, ... until one fits, and keeps its
+    other draws.  After UE_REDRAWS such redraws the scenario is refused
+    with a GenerationError.  Three passes over the scenario:
       1. per sample, its stream's draws in order (position, blockage, path
          count, the LoS phase, the NLoS phases) and its paths: the direct
          path unless blocked, then the shortest single-bounce paths;
@@ -339,13 +353,23 @@ def generate_scenario(config: ScenarioConfig, layout: Layout, seed: int) -> list
     bs_lengths = np.linalg.norm(scatterers - bs, axis=1)
     tap_length = layout.tap_length_m
 
+    def bounces(ue, los_tap):
+        """Single-bounce candidates, strongest (shortest) first: all path
+        lengths, then the scatterers and taps of the paths that fit.
+        Scatterers whose quantized delay collides with the LoS tap are
+        skipped so the LoS path keeps strictly minimal delay; out-of-grid
+        scatterers are skipped too."""
+        lengths = bs_lengths + np.linalg.norm(scatterers - ue, axis=1)
+        order = np.argsort(lengths, kind="stable")
+        order_taps = np.rint(lengths[order] / tap_length)
+        fits = (order_taps < layout.n_taps) & (order_taps != los_tap)
+        return lengths, order[fits], order_taps[fits]
+
     ue_positions, los_labels = [], []
     owner, via, taps, amps, phases = [], [], [], [], []   # one entry per path
     for i in range(config.n_ue):
         rng = stream(seed, "sample", config.scenario_id, i)
-        r = np.sqrt(rng.uniform(config.min_distance ** 2, config.cell_radius ** 2))
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        ue = np.array([r * np.cos(theta), r * np.sin(theta), config.ue_height])
+        ue = _ue_position(config, rng)
         blocked = rng.uniform() < config.blockage_prob
         n_target = int(rng.integers(config.path_count[0], config.path_count[1] + 1))
 
@@ -364,23 +388,22 @@ def generate_scenario(config: ScenarioConfig, layout: Layout, seed: int) -> list
             amps.append(config.ref_gain * d ** (-config.los_exponent / 2.0))
             phases.append(rng.uniform(0.0, 2.0 * np.pi))
 
-        # Single-bounce candidates, strongest (shortest) first.  Scatterers whose
-        # quantized delay collides with the LoS tap are skipped so the LoS path
-        # keeps strictly minimal delay; out-of-grid scatterers are skipped too.
-        lengths = bs_lengths + np.linalg.norm(scatterers - ue, axis=1)
-        order = np.argsort(lengths, kind="stable")
-        order_taps = np.rint(lengths[order] / tap_length)
-        fits = (order_taps < layout.n_taps) & (order_taps != los_tap)
+        lengths, fit, fit_taps = bounces(ue, los_tap)
+        redraws = 0
+        while blocked and not fit.size:
+            if redraws == UE_REDRAWS:
+                raise GenerationError(
+                    f"scenario {config.scenario_id} sample {i}: no representable paths "
+                    f"within the {layout.n_taps}-tap grid at {UE_REDRAWS + 1} positions")
+            ue = _ue_position(config, stream(seed, "sample-redraw", config.scenario_id, i,
+                                             redraws))
+            lengths, fit, fit_taps = bounces(ue, los_tap)
+            redraws += 1
         n_nlos = n_target - (not blocked)
-        chosen = order[fits][:n_nlos]
-        if blocked and not chosen.size:
-            raise GenerationError(
-                f"scenario {config.scenario_id} sample {i}: no representable paths "
-                f"within the {layout.n_taps}-tap grid"
-            )
+        chosen = fit[:n_nlos]
         owner.extend([i] * chosen.size)
         via.extend(chosen.tolist())
-        taps.extend(order_taps[fits][:n_nlos].astype(int).tolist())
+        taps.extend(fit_taps[:n_nlos].astype(int).tolist())
         # One scalar power per path: an array power may take a SIMD kernel
         # that rounds otherwise.
         amps.extend(config.ref_gain * lengths[j] ** (-config.nlos_exponent / 2.0)

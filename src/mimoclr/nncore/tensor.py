@@ -12,7 +12,12 @@ gradient; an in-place edit of a captured array still does.
 
 The op set is exactly what the encoders and losses need; every backward
 pass accumulates in a fixed topological order, so gradients are
-bit-reproducible run to run.
+bit-reproducible run to run.  A gradient an op allocates is kept as its
+parent's .grad rather than copied, and relu masks its gradient in place,
+so an encoder stage's backward holds one full-size gradient.  Only a
+leaf's first write adds `+ 0` (-0.0 becomes +0.0, as in zeros + g); an
+inner node's zeros may keep their sign, which changes no leaf bit (see
+_Node._accumulate).
 
 Works in float32 (training default) or float64 (gradient checks).
 """
@@ -44,16 +49,23 @@ class _Node:
         self.order = "F" if data.flags.f_contiguous and not data.flags.c_contiguous else "C"
 
     def _accumulate(self, g, owned=False):
-        """Add `g` into .grad.  The first write is `g + 0`, which maps -0.0
-        to +0.0 exactly as zeros + g does.  `owned` says the calling op
-        allocated `g` for this call and keeps no other reference to it; a
-        `g` laid out like the tensor's data is then normalised in place and
-        kept."""
+        """Add `g` into .grad.  `owned` says the calling op allocated `g` for
+        this call, or hands on its own node's .grad, and keeps no other
+        reference to it; a `g` laid out like the tensor's data is then kept
+        as .grad, so .grad is always a buffer no other node or closure holds.
+
+        A leaf's first write is `g + 0`, which maps -0.0 to +0.0 exactly as
+        zeros + g does; `+0 + -0` is +0 on later writes, so leaf bits are
+        those of a sum that starts at zeros.  An inner node (one with a
+        backward closure) keeps an owned `g` as it is: its .grad is read
+        only by its own closure, and every closure is linear in `g`, so a
+        zero's sign there can only change the sign of a zero it passes on,
+        which the leaf's `+ 0` clears."""
         if self.grad is not None:
             self.grad += g
         elif (owned and g.dtype == self.dtype and g.shape == self.shape
               and g.flags.c_contiguous and self.order == "C"):
-            self.grad = np.add(g, 0, out=g)
+            self.grad = g if self.backward is not None else np.add(g, 0, out=g)
         else:
             self.grad = np.add(g, 0, out=np.empty(self.shape, self.dtype, order=self.order))
 
@@ -301,7 +313,10 @@ def reshape(a: Tensor, shape):
 def relu(a: Tensor):
     """max(a, 0) elementwise: NaN stays NaN, -inf gives 0, and -0.0 gives
     +0.0.  Backward keeps a bool mask, built only while the op is
-    recorded."""
+    recorded, and masks its `g` in place: the `g` a closure receives is
+    always its node's private .grad (a buffer `_accumulate` kept or made,
+    or the root's ones), which `Tensor.backward` drops as soon as the
+    closure returns, so relu hands it on to its input as owned."""
     out = np.maximum(a.data, 0)
     na = _sink(a)
     if not _recording(na):
@@ -309,7 +324,7 @@ def relu(a: Tensor):
     mask = a.data > 0
 
     def backward(g):
-        na._accumulate(g * mask, owned=True)
+        na._accumulate(np.multiply(g, mask, out=g), owned=True)
 
     return _make(out, (na,), backward)
 
@@ -484,11 +499,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor):
     starts = range(0, n, block)
     buf = np.empty((block, ckk, hw), dtype=xd.dtype)
     out = np.empty((n, f, hw), dtype=np.result_type(w2, xd))
+    bias = b.data[:, None]
     for lo in starts:
-        xb = xd[lo:lo + block]
-        np.matmul(w2, _im2col(xb, slabs, kh, kw, buf[:len(xb)]), out=out[lo:lo + block])
+        xb, ob = xd[lo:lo + block], out[lo:lo + block]
+        np.matmul(w2, _im2col(xb, slabs, kh, kw, buf[:len(xb)]), out=ob)
+        ob += bias   # while the block is still in cache
     out = out.reshape(n, f, h, wd)
-    out += b.data[None, :, None, None]
 
     def backward(g):
         gl = g.reshape(n, f, hw)
@@ -497,8 +513,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor):
         buf = np.empty((block, ckk, hw), dtype=xd.dtype)
         if nw is not None:
             # each sample's product added in sample order, as .sum(axis=0)
-            # adds them; starting from +0 can only change a zero's sign,
-            # which _accumulate's + 0 clears anyway
+            # adds them: a reduce over the block's leading axis adds its
+            # rows in order, the first already holding the earlier blocks'
+            # sum.  Starting from +0 can only change a zero's sign, which
+            # the leaf's + 0 clears anyway
             dw = np.zeros((f, ckk), dtype=np.result_type(g, xd))
         if nx is not None:
             dx = np.zeros((n, c, hw), dtype=xd.dtype)
@@ -507,8 +525,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor):
             cols = buf[:len(xb)]
             if nw is not None:
                 prods = np.matmul(gb, _im2col(xb, slabs, kh, kw, cols).transpose(0, 2, 1))
-                for p in prods:
-                    dw += p
+                prods[0] += dw
+                np.add.reduce(prods, axis=0, out=dw)
             if nx is not None:
                 # col2im: add each slab back at its shift, in the same (i, j)
                 # order as a padded scatter.  Wrapped cells are zeroed first;

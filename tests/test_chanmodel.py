@@ -125,16 +125,32 @@ def path_oracle(gain, tap, bs, ue, via, is_los):
                       aoa_az=_f32(aoa_az), aoa_el=_f32(aoa_el), is_los=is_los)
 
 
-def generate_sample_oracle(config, layout, seed, index, scatterers, codebook):
-    """One sample, one Python pipeline: its stream's draws, then path by
-    path, each scatterer tried in turn, the CIR of cir_per_path_oracle."""
-    rng = stream(seed, "sample", config.scenario_id, index)
-    bs = np.asarray(config.bs_position, dtype=float)
+def ue_position_oracle(config, rng):
     r = np.sqrt(rng.uniform(config.min_distance ** 2, config.cell_radius ** 2))
     theta = rng.uniform(0.0, 2.0 * np.pi)
-    ue = np.array([r * np.cos(theta), r * np.sin(theta), config.ue_height])
+    return np.array([r * np.cos(theta), r * np.sin(theta), config.ue_height])
+
+
+def generate_sample_oracle(config, layout, seed, index, scatterers, codebook):
+    """One sample, one Python pipeline: its stream's draws, a blocked UE's
+    redraws until some scatterer gives a path on the grid, then path by
+    path, each scatterer tried in turn, the CIR of cir_per_path_oracle.
+    Returns the sample, its stored taps and how often its UE was redrawn."""
+    rng = stream(seed, "sample", config.scenario_id, index)
+    bs = np.asarray(config.bs_position, dtype=float)
+    ue = ue_position_oracle(config, rng)
     blocked = rng.uniform() < config.blockage_prob
     n_target = int(rng.integers(config.path_count[0], config.path_count[1] + 1))
+
+    def bounce_fits(ue):
+        return any(round((np.linalg.norm(sc - bs) + np.linalg.norm(sc - ue))
+                         / layout.tap_length_m) < layout.n_taps for sc in scatterers)
+
+    redraws = 0
+    while blocked and not bounce_fits(ue):
+        ue = ue_position_oracle(config, stream(seed, "sample-redraw", config.scenario_id,
+                                               index, redraws))
+        redraws += 1
     paths, los_tap = [], None
     if not blocked:
         d = float(np.linalg.norm(ue - bs))
@@ -159,7 +175,7 @@ def generate_sample_oracle(config, layout, seed, index, scatterers, codebook):
     cir = cir_per_path_oracle(sample, layout.tx_geometry, layout.rx_geometry, layout.n_taps)
     occupied = cir[:, :, sorted({p.delay_tap for p in paths})]
     sample = dataclasses.replace(sample, beam_label=optimal_beam(occupied, codebook))
-    return sample, occupied.astype(np.complex64)
+    return sample, occupied.astype(np.complex64), redraws
 
 
 DESK = Layout(tx_geometry=ArrayGeometry(4, 4), rx_geometry=ArrayGeometry(2, 1),
@@ -465,6 +481,33 @@ def test_generated_samples_well_formed():
         assert s.ue_position[2] == cfg.ue_height
 
 
+def test_far_blocked_ue_is_redrawn_not_refused():
+    # the cell reaches the tap grid's edge, so a blocked UE drawn far from
+    # every scatterer has no bounce path on the grid: sample 7 of seed 0 once
+    # stopped generation there
+    cfg = desk_scenario(n_ue=300, cell_radius=940.0)
+    samples = generate_scenario(cfg, DESK, seed=0)
+    assert len(samples) == cfg.n_ue
+    for s in samples:
+        assert s.paths and all(0 <= p.delay_tap < DESK.n_taps for p in s.paths)
+        assert cfg.min_distance <= np.hypot(*s.ue_position[:2]) <= cfg.cell_radius
+
+
+def test_ue_without_any_representable_path_is_refused_after_the_redraws(monkeypatch):
+    # blocked and no scatterer: no position has a path
+    cfg = desk_scenario(scenario_id=2, blockage_prob=1.0, scatterer_count=(0, 0))
+    purposes = []
+
+    def spy(seed, purpose, *counters):
+        purposes.append(purpose)
+        return stream(seed, purpose, *counters)
+
+    monkeypatch.setattr(chanmodel, "stream", spy)
+    with pytest.raises(chanmodel.GenerationError, match="scenario 2 sample 0: no representable"):
+        generate_scenario(cfg, DESK, seed=0)
+    assert purposes.count("sample-redraw") == chanmodel.UE_REDRAWS
+
+
 GENERATION_CASES = {
     "preset-like": {},
     "never-blocked": {"blockage_prob": 0.0},
@@ -475,6 +518,9 @@ GENERATION_CASES = {
     # a small cell crowded with scatterers: many paths share a tap
     "dense": {"cell_radius": 60.0, "scatterer_count": (150, 200),
               "path_count": (MAX_PATHS, MAX_PATHS)},
+    # a cell reaching the grid's edge: some blocked UEs have no bounce path
+    # on the grid where first drawn
+    "far-blocked": {"cell_radius": 940.0, "blockage_prob": 1.0},
 }
 
 
@@ -482,12 +528,13 @@ GENERATION_CASES = {
 @pytest.mark.parametrize("case", list(GENERATION_CASES))
 def test_generate_scenario_equals_per_sample_oracle(geo, case):
     cb = build_codebook(geo.tx_geometry)
-    shared = 0
+    shared = redrawn = 0
     for seed in (0, 4, 13):
         cfg = ScenarioConfig(scenario_id=seed % 3, n_ue=30, **GENERATION_CASES[case])
         scatterers = scatterer_field(cfg, seed)
         for i, s in enumerate(generate_scenario(cfg, geo, seed)):
-            want, taps = generate_sample_oracle(cfg, geo, seed, i, scatterers, cb)
+            want, taps, redraws = generate_sample_oracle(cfg, geo, seed, i, scatterers, cb)
+            redrawn += redraws > 0
             # repr spells every float exactly, so equal reprs are equal bits
             assert repr(s) == repr(want)
             assert s == want
@@ -496,6 +543,7 @@ def test_generate_scenario_equals_per_sample_oracle(geo, case):
             shared += len(s.paths) - len({p.delay_tap for p in s.paths})
     if case == "dense":
         assert shared > 3 * 30 * MAX_PATHS // 2   # most paths share their tap
+    assert (redrawn > 0) == (case == "far-blocked"), redrawn
 
 
 def test_los_fraction_tracks_blockage():

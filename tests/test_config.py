@@ -81,16 +81,19 @@ def test_unknown_config_rejected():
         C.load_config("warehouse")
 
 
-def test_yaml_unsigned_exponent_becomes_float(tmp_path):
-    # YAML 1.1 parses "2.0e7" (no exponent sign) as a string; the loader
-    # should still treat it as a number
-    text = """
+UNSIGNED_EXPONENT_YAML = """
 dataset:
   geometry: {tx_geometry: {rows: 2, cols: 2}, rx_geometry: {rows: 2, cols: 1},
              n_taps: 32, n_subcarriers: 64, bandwidth_hz: 2.0e7}
   scenarios: [{scenario_id: 0, n_ue: 4}]
 pretrain: {lr: 5.0e4}
 """
+
+
+def test_yaml_unsigned_exponent_becomes_float(tmp_path):
+    # YAML 1.1 parses "2.0e7" (no exponent sign) as a string; the loader
+    # should still treat it as a number
+    text = UNSIGNED_EXPONENT_YAML
     p = tmp_path / "c.yaml"
     p.write_text(text)
     cfg = C.load_config(str(p))
@@ -99,22 +102,27 @@ pretrain: {lr: 5.0e4}
     assert C.pretrain_config(cfg).lr == 5.0e4
 
 
-def test_duplicate_scenario_ids_rejected(tmp_path):
-    text = """
+DUPLICATE_IDS_YAML = """
 dataset:
   geometry: {tx_geometry: {rows: 2, cols: 2}, rx_geometry: {rows: 2, cols: 1},
              n_taps: 32, n_subcarriers: 64, bandwidth_hz: 1.0e+7}
   scenarios: [{scenario_id: 0, n_ue: 4}, {scenario_id: 0, n_ue: 8}]
 """
+
+
+def test_duplicate_scenario_ids_rejected(tmp_path):
     p = tmp_path / "c.yaml"
-    p.write_text(text)
+    p.write_text(DUPLICATE_IDS_YAML)
     with pytest.raises(ConfigError, match="duplicate"):
         C.dataset_config(C.load_config(str(p)))
 
 
+UNKNOWN_SCENARIO_KEY_YAML = "dataset:\n  scenarios: [{scenario_id: 0, n_ue: 4, carrier: 3.5}]\n"
+
+
 def test_unknown_scenario_key_rejected(tmp_path):
     p = tmp_path / "c.yaml"
-    p.write_text("dataset:\n  scenarios: [{scenario_id: 0, n_ue: 4, carrier: 3.5}]\n")
+    p.write_text(UNKNOWN_SCENARIO_KEY_YAML)
     with pytest.raises(ConfigError, match="carrier"):
         C.dataset_config(C.load_config(str(p)))
 
@@ -129,12 +137,16 @@ def test_override_merge():
     assert C.pretrain_config(cfg, seed=None).seed == 0
 
 
+UNBALANCED_YAML = "dataset: [unbalanced\n"
+LIST_YAML = "- just\n- a\n- list\n"
+
+
 def test_malformed_yaml_rejected(tmp_path):
     p = tmp_path / "c.yaml"
-    p.write_text("dataset: [unbalanced\n")
+    p.write_text(UNBALANCED_YAML)
     with pytest.raises(ConfigError):
         C.load_config(str(p))
-    p.write_text("- just\n- a\n- list\n")
+    p.write_text(LIST_YAML)
     with pytest.raises(ConfigError, match="mapping"):
         C.load_config(str(p))
 
@@ -208,15 +220,19 @@ MALFORMED = [
 MALFORMED_IDS = [".".join(map(str, where)) + f"={value!r}" for where, value, _ in MALFORMED]
 
 
-def malformed_config(tmp_path, where, value) -> str:
+def malformed_text(where, value) -> str:
     cfg = copy.deepcopy(BASE)
     *parents, last = where
     node = cfg
     for key in parents:
         node = node[key]
     node[last] = value
+    return yaml.safe_dump(cfg)
+
+
+def malformed_config(tmp_path, where, value) -> str:
     path = tmp_path / "bad.yaml"
-    path.write_text(yaml.safe_dump(cfg))
+    path.write_text(malformed_text(where, value))
     return str(path)
 
 
@@ -269,15 +285,54 @@ def test_generate_echo_reads_back(tmp_path, capsys):
     assert again.scenarios == ds.scenarios
 
 
-def test_scenarios_share_values_through_merge_keys(tmp_path):
-    p = tmp_path / "c.yaml"
-    p.write_text("""
+MERGE_KEYS_YAML = """
 dataset:
   scenarios:
     - &env {scenario_id: 0, n_ue: 4, cell_radius: 100, scatterer_count: [4, 8]}
     - {<<: *env, scenario_id: 1, cell_radius: 90.0}
-""")
+"""
+
+
+def test_scenarios_share_values_through_merge_keys(tmp_path):
+    p = tmp_path / "c.yaml"
+    p.write_text(MERGE_KEYS_YAML)
     a, b = C.dataset_config(C.load_config(str(p))).scenarios
     assert a.cell_radius == 100.0 and isinstance(a.cell_radius, float)
     assert (b.scenario_id, b.n_ue, b.cell_radius) == (1, 4, 90.0)
     assert a.scatterer_count == b.scatterer_count == (4, 8)
+
+
+
+# Every YAML text of this file, the base config with each malformed value,
+# and a file that is not UTF-8 text.
+YAML_TEXTS = {
+    "unsigned-exponent": UNSIGNED_EXPONENT_YAML, "duplicate-ids": DUPLICATE_IDS_YAML,
+    "unknown-scenario-key": UNKNOWN_SCENARIO_KEY_YAML, "unbalanced": UNBALANCED_YAML,
+    "list": LIST_YAML, "merge-keys": MERGE_KEYS_YAML, "not-utf8": bytes(range(256)),
+    **{name: malformed_text(where, value)
+       for name, (where, value, _) in zip(MALFORMED_IDS, MALFORMED)},
+}
+
+
+def _load_outcome(path):
+    """load_config's mapping, or what its ConfigError says: the parser's
+    error class for a parse error, whose wording is the parser's own, else
+    the message."""
+    try:
+        return C.load_config(path)
+    except ConfigError as e:
+        return type(e.__cause__) if e.__cause__ is not None else str(e)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("name", C.builtin_presets() + list(YAML_TEXTS))
+def test_libyaml_and_python_loaders_agree(tmp_path, monkeypatch, name):
+    if name in YAML_TEXTS:
+        text = YAML_TEXTS[name]
+        path = tmp_path / "c.yaml"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        name = str(path)
+    assert C._YAML_LOADER is yaml.CSafeLoader
+    fast = _load_outcome(name)
+    monkeypatch.setattr(C, "_YAML_LOADER", yaml.SafeLoader)
+    assert _load_outcome(name) == fast

@@ -9,7 +9,9 @@ import pytest
 
 from mimoclr.errors import ContractError
 from mimoclr.nncore import tensor as T
-from mimoclr.nncore.layers import Encoder, EncoderConfig
+from mimoclr.nncore.layers import Encoder, EncoderConfig, Head, HeadConfig
+from mimoclr.nncore.losses import mse_loss
+from mimoclr.nncore.optim import AdamW
 from mimoclr.nncore.tensor import Tensor
 
 from gradcheck import gradient_check
@@ -737,6 +739,48 @@ def test_backward_releases_consumed_grads_only(monkeypatch):
         assert (g is None) == (w is None)
         if w is not None:
             assert _same_bytes(g, w)
+
+
+def _two_adamw_steps():
+    """Two AdamW steps of a small Encoder plus Head on an mse loss; returns
+    by name every leaf gradient after each backward, then the parameters
+    and moment buffers.  The input holds signed zeros and one all-zero sample,
+    conv filter 0 and hidden unit 0 are zero, so relu sees inputs exactly
+    at 0 in every step, and the targets sit above every prediction, so the
+    dead hidden unit's upstream gradient is negative and its masked
+    gradient -0.0."""
+    rng = np.random.default_rng(25)
+    enc = Encoder.init(EncoderConfig(in_height=8, in_width=16, widths=(4, 6), embed_dim=5), rng)
+    head = Head.init(HeadConfig(in_dim=5, hidden_dim=7, out_dim=3), rng)
+    enc.params["conv0.w"].data[0] = np.where(rng.random((2, 3, 3)) < 0.5, 0.0, -0.0)
+    head.params["fc1.w"].data[:, 0] = 0.0
+    head.params["fc2.w"].data[0] = np.abs(head.params["fc2.w"].data[0])
+    x = _signed_zeros(rng.normal(size=(4, 2, 8, 16)), rng).astype(np.float32)
+    x[1] = -0.0
+    target = np.full((4, 3), 10.0, dtype=np.float32)
+    params = {**{"enc." + k: v for k, v in enc.params.items()},
+              **{"head." + k: v for k, v in head.params.items()}}
+    opt = AdamW(params, lr=1e-2)
+    out = {}
+    for step in range(2):
+        opt.zero_grad()
+        mse_loss(head.forward(enc.forward(Tensor(x))), target).backward()
+        out.update({f"grad{step}.{k}": p.grad.copy() for k, p in params.items()})
+        opt.step()
+    return {**out, **{k: p.data for k, p in params.items()}, **opt.state_arrays()}
+
+
+def test_in_place_backward_matches_zeros_plus_g_at_every_node(monkeypatch):
+    got = _two_adamw_steps()
+    monkeypatch.setattr(T._Node, "_accumulate", _accumulate_oracle)
+    want = _two_adamw_steps()
+    assert got.keys() == want.keys()
+    assert all(_same_bytes(got[k], want[k]) for k in got)
+    # relu saw inputs exactly at 0 in both steps: the zeroed filter and
+    # hidden unit got no gradient, so AdamW left them at zero
+    for step in range(2):
+        assert not got[f"grad{step}.enc.conv0.w"][0].any()
+        assert not got[f"grad{step}.head.fc1.w"][:, 0].any()
 
 
 @pytest.mark.parametrize("owned", [False, True])
